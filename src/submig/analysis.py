@@ -70,6 +70,12 @@ def _radii(z, scat: ScattererSet) -> np.ndarray:
     return np.hypot(diff[..., 0], diff[..., 1])
 
 
+def _per_point(func, z, *args):
+    # one scalar evaluation per search point of a trailing-(2) batch
+    z = np.asarray(z, dtype=float)
+    return np.array([func(p, *args) for p in z.reshape(-1, 2)]).reshape(z.shape[:-1])
+
+
 def analytic_sf(z, scat: ScattererSet, omega: float):
     """Single-frequency structure: sum of J0(omega |z - y_m|)^2.
 
@@ -87,7 +93,10 @@ def analytic_mf(z, scat: ScattererSet, band: BandLimits, q: Quadrature | None = 
 
     Envelope boundary terms plus the quadrature remainder of J1^2, scaled by
     count/band-width; equals (F/width) * integral of J0(omega r)^2 d omega.
+    A trailing-(2) batch of search points gives one value per point.
     """
+    if np.ndim(z) > 1:
+        return _per_point(analytic_mf, z, scat, band, q)
     total = 0.0
     for r in _radii(np.asarray(z, dtype=float), scat):
         boundary = band.omega_f * bessel_envelope(band.omega_f * r) - band.omega1 * (
@@ -106,10 +115,13 @@ def analytic_wmf(
     """Power-weighted structure: (F/width) * integral of omega^n J0(omega r)^2.
 
     The n = 1 remainder vanishes identically (the x^2/2 envelope
-    antiderivative), so that case is fully closed-form.
+    antiderivative), so that case is fully closed-form.  A trailing-(2)
+    batch of search points gives one value per point.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError(f"weight power must be a nonnegative integer, got {n!r}")
+    if np.ndim(z) > 1:
+        return _per_point(analytic_wmf, z, scat, band, n, q)
     if n == 0:
         return analytic_mf(z, scat, band, q)
     total = 0.0
@@ -131,9 +143,12 @@ def analytic_log(z, scat: ScattererSet, band: BandLimits, q: Quadrature | None =
 
     Boundary terms omega ln(omega) * envelope minus the quadrature remainder
     of J0^2 - (ln omega - 1) J1^2; requires omega1 > 1 for positive weights.
+    A trailing-(2) batch of search points gives one value per point.
     """
     if band.omega1 <= 1.0:
         raise ValueError(f"log weighting needs omega1 > 1, got {band.omega1}")
+    if np.ndim(z) > 1:
+        return _per_point(analytic_log, z, scat, band, q)
     total = 0.0
     for r in _radii(np.asarray(z, dtype=float), scat):
         boundary = band.omega_f * math.log(band.omega_f) * bessel_envelope(

@@ -20,7 +20,6 @@ from .harness import (
     preset_config,
     run_experiment,
 )
-from .imaging import ImageGrid
 
 
 def _parse_snr(raw: str) -> float:
@@ -97,12 +96,10 @@ def config_from_args(args) -> ExperimentConfig:
         specs = [replace(s, **{field_name: v}) for s, v in zip(specs, vals)]
     cfg = replace(cfg, inclusions=tuple(specs))
 
-    for field_name in ("directions", "frequencies", "lambda_max", "lambda_min", "seed", "tau"):
-        val = getattr(args, field_name, None)
-        if val is not None:
-            cfg = replace(cfg, **{field_name: val})
-    if args.snr_db is not None:
-        cfg = replace(cfg, snr_db=args.snr_db)
+    # one replace: the two wavelengths are validated as a pair
+    names = ("directions", "frequencies", "lambda_max", "lambda_min", "seed", "tau", "snr_db")
+    overrides = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    cfg = replace(cfg, **overrides)
     if args.functional:
         cfg = replace(cfg, functionals=tuple(args.functional))
     if args.grid:

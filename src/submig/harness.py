@@ -110,6 +110,22 @@ class ExperimentConfig:
                 raise ValueError(f"unknown functional tag {tag!r}")
         if not self.functionals:
             raise ValueError("need at least one functional")
+        # the same rules make_directions, FrequencySet.from_band and the map
+        # functions apply, checked before any work starts
+        if not 0.0 < self.tau < 1.0:
+            raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
+        if self.directions < 2:
+            raise ValueError(f"need at least 2 directions, got {self.directions}")
+        if self.frequencies < 1:
+            raise ValueError(f"need at least 1 frequency, got {self.frequencies}")
+        # strictly descending wavelengths when there is more than one
+        if not 0.0 < self.lambda_min <= self.lambda_max or (
+            self.frequencies > 1 and self.lambda_min == self.lambda_max
+        ):
+            raise ValueError(
+                f"need 0 < lambda_min <= lambda_max (< for F > 1), got lambda_min="
+                f"{self.lambda_min}, lambda_max={self.lambda_max}, F={self.frequencies}"
+            )
 
     def summary(self) -> str:
         curves = ",".join(
@@ -197,6 +213,13 @@ def save_config(cfg: ExperimentConfig, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# the keys save_config writes, in its order
+_CONFIG_KEYS = (
+    "curves eps mu h directions frequencies lambda_max lambda_min snr_db seed functionals "
+    "grid bounds tau c"
+).split()
+
+
 def _split_functionals(raw: str) -> tuple[str, ...]:
     # WMF(1) contains no commas, so a plain comma split is safe
     return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
@@ -212,7 +235,12 @@ def load_config(path, out_dir: str | None = None) -> ExperimentConfig:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValueError(f"{path}: malformed line {line!r}")
-            kv[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in _CONFIG_KEYS:
+                raise ValueError(
+                    f"{path}: unknown key {key!r}; expected one of {', '.join(_CONFIG_KEYS)}"
+                )
+            kv[key] = value.strip()
 
     def floats(key, default):
         return [float(tok) for tok in kv[key].split(",")] if key in kv else default
@@ -285,23 +313,50 @@ def _config_hash(cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 # map quality metrics
 
+_ANCHOR_BLOCK = 64
+
+
+def _squared_distances(pts: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    return (pts[:, None, 0] - anchors[..., 0]) ** 2 + (pts[:, None, 1] - anchors[..., 1]) ** 2
+
+
 def distance_to_curves(points: np.ndarray, curves, samples_per_curve: int = 2001) -> np.ndarray:
-    """Distance from each point to the nearest of the densely sampled curves."""
-    anchors = []
+    """Distance from each point to the nearest of the densely sampled curves.
+
+    Exact: equal, bit for bit, to the minimum over every sample.  Samples are
+    grouped in blocks of consecutive points along each curve, and only the
+    blocks that can hold the nearest sample are evaluated.
+    """
+    blocks = []
     for curve in curves:
         s = np.linspace(curve.s_min, curve.s_max, samples_per_curve)
-        anchors.append(np.asarray(curve.position(s), dtype=float))
-    anchor = np.concatenate(anchors, axis=0)
+        anchor = np.asarray(curve.position(s), dtype=float)
+        # pad with copies of the last sample: duplicates leave every minimum unchanged
+        pad = -len(anchor) % _ANCHOR_BLOCK
+        anchor = np.concatenate([anchor, np.repeat(anchor[-1:], pad, axis=0)])
+        blocks.append(anchor.reshape(-1, _ANCHOR_BLOCK, 2))
+    blocks = np.concatenate(blocks, axis=0)
+    centres = blocks.mean(axis=1)
+    radii = np.sqrt(((blocks - centres[:, None, :]) ** 2).sum(axis=-1)).max(axis=1)
     pts = np.asarray(points, dtype=float)
     out = np.empty(pts.shape[0])
     chunk = 2048
     for start in range(0, pts.shape[0], chunk):
         block = pts[start : start + chunk]
-        d2 = (
-            (block[:, None, 0] - anchor[None, :, 0]) ** 2
-            + (block[:, None, 1] - anchor[None, :, 1]) ** 2
-        )
-        out[start : start + block.shape[0]] = np.sqrt(d2.min(axis=1))
+        to_centre = np.sqrt(_squared_distances(block, centres))
+        nearest = np.argmin(to_centre, axis=1)
+        upper = np.sqrt(_squared_distances(block, blocks[nearest]).min(axis=1))
+        # triangle inequality: every sample a of block j has
+        # |p - a| >= |p - c_j| - |a - c_j| >= |p - c_j| - r_j, so a block whose
+        # bound exceeds a distance already attained cannot hold the nearest
+        # sample; the slack absorbs the rounding of the bound and of upper.
+        # The nearest block is always kept, so every point has one to reduce.
+        keep = to_centre - radii <= upper[:, None] + 1e-9
+        keep[np.arange(block.shape[0]), nearest] = True
+        row, col = np.nonzero(keep)
+        d2 = _squared_distances(block[row], blocks[col]).min(axis=1)
+        first = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+        out[start : start + block.shape[0]] = np.sqrt(np.minimum.reduceat(d2, first))
     return out
 
 

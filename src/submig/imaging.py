@@ -3,13 +3,13 @@
 Each functional correlates a unit-norm steering vector with the thresholded
 signal subspace of the response matrix and takes the magnitude of the
 accumulated product, optionally weighted per frequency (1, omega^n, or
-ln omega).  Map evaluation is pointwise over the search grid with a fixed
-reduction order, so values do not depend on how the grid is partitioned.
+ln omega).  Steering vectors are built from separable x and y phase tables
+and a map is evaluated over fixed-size blocks of grid rows, so memory stays
+bounded on large grids; values agree with the pointwise formula to rounding.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -117,39 +117,46 @@ def _direction_amplitudes(dirs: DirectionSet, cfg: SteeringConfig) -> np.ndarray
     return amps
 
 
-def _steering_matrix(
-    points: np.ndarray, omega: float, dirs: DirectionSet, cfg: SteeringConfig
-) -> np.ndarray:
-    # rows are steering vectors; amplitudes are z-independent, so one norm
-    amps = _direction_amplitudes(dirs, cfg)
-    w = amps * np.exp(1j * omega * (points @ dirs.thetas.T))
-    if cfg.normalize:
-        w = w / np.linalg.norm(amps)
-    return w
-
-
 def test_vector(
     z, omega: float, dirs: DirectionSet, cfg: SteeringConfig | None = None
 ) -> np.ndarray:
     """Steering vector W(z; omega), unit Euclidean norm under the default config."""
     if cfg is None:
         cfg = SteeringConfig()
-    z = np.asarray(z, dtype=float).reshape(1, 2)
-    return _steering_matrix(z, omega, dirs, cfg)[0]
+    z = np.asarray(z, dtype=float).reshape(2)
+    amps = _direction_amplitudes(dirs, cfg)
+    w = amps * np.exp(1j * omega * (dirs.thetas @ z))
+    return w / np.linalg.norm(amps) if cfg.normalize else w
+
+
+_CHUNK_ROWS = 16
 
 
 def _subspace_correlation(
-    k: MsrMatrix, factors: SvdFactors, points: np.ndarray, cfg: SteeringConfig, tau: float
+    k: MsrMatrix, factors: SvdFactors, grid: ImageGrid, cfg: SteeringConfig, tau: float
 ) -> np.ndarray:
+    # c(z) = w(z)^H (U_m V_m^H) conj(w(z)); exp(-i omega z.theta) factors into
+    # an x table and a y table, so only (nx + ny) * N exponentials are taken
     m_eff = effective_rank(factors, tau)
     if m_eff == 0:
         raise EmptySubspaceError(
             f"no singular value above tau={tau} at omega={k.omega}"
         )
-    w = _steering_matrix(points, k.omega, k.dirs, cfg)
-    left = w.conj() @ factors.u[:, :m_eff]
-    right = w.conj() @ factors.v[:, :m_eff].conj()
-    return np.sum(left * right, axis=1)
+    amps = _direction_amplitudes(k.dirs, cfg)
+    if cfg.normalize:
+        amps = amps / np.linalg.norm(amps)
+    thetas = k.dirs.thetas
+    x_table = amps * np.exp(-1j * k.omega * np.outer(grid.xs, thetas[:, 0]))
+    y_table = np.exp(-1j * k.omega * np.outer(grid.ys, thetas[:, 1]))
+    projector = factors.u[:, :m_eff] @ factors.v[:, :m_eff].conj().T
+    out = np.empty((grid.ny, grid.nx), dtype=complex)
+    for start in range(0, grid.ny, _CHUNK_ROWS):
+        rows = y_table[start : start + _CHUNK_ROWS]
+        w_bar = (rows[:, None, :] * x_table[None, :, :]).reshape(-1, thetas.shape[0])
+        out[start : start + rows.shape[0]] = np.sum(
+            (w_bar @ projector) * w_bar, axis=1
+        ).reshape(rows.shape[0], grid.nx)
+    return out
 
 
 def map_single(
@@ -164,8 +171,7 @@ def map_single(
         cfg = SteeringConfig()
     if not 0.0 < tau < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {tau}")
-    corr = _subspace_correlation(k, factors, grid.points(), cfg, tau)
-    values = np.abs(corr).reshape(grid.ny, grid.nx)
+    values = np.abs(_subspace_correlation(k, factors, grid, cfg, tau))
     return ImageMap(grid=grid, values=values, tag="SF", omegas=(float(k.omega),))
 
 
@@ -212,16 +218,13 @@ def map_multi(
             raise ConfigurationError("all matrices must share one direction set")
     omegas = [float(k.omega) for k, _ in ks]
     tag, xi = _parse_weight(weight, omegas)
-    points = grid.points()
-    total = np.zeros(points.shape[0], dtype=complex)
+    total = np.zeros((grid.ny, grid.nx), dtype=complex)
     for (k, factors), weight_f in zip(ks, xi):
-        total += weight_f * _subspace_correlation(k, factors, points, cfg, tau)
+        total += weight_f * _subspace_correlation(k, factors, grid, cfg, tau)
     values = np.abs(total)
     if tag == "MF":
         values = values / len(ks)
-    return ImageMap(
-        grid=grid, values=values.reshape(grid.ny, grid.nx), tag=tag, omegas=tuple(omegas)
-    )
+    return ImageMap(grid=grid, values=values, tag=tag, omegas=tuple(omegas))
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +240,12 @@ def save_map_csv(image: ImageMap, path, normalized: bool = False) -> None:
         "# omegas " + ",".join(repr(w) for w in image.omegas),
         "x,y,value",
     ]
-    xs = image.grid.xs
-    ys = image.grid.ys
-    for iy, y in enumerate(ys):
-        row = values[iy]
-        for ix, x in enumerate(xs):
-            lines.append(f"{float(x)!r},{float(y)!r},{float(row[ix])!r}")
+    x_reprs = [repr(x) for x in image.grid.xs.tolist()]
+    for y, row in zip(image.grid.ys.tolist(), values.tolist()):
+        y_repr = repr(y)
+        lines.extend(
+            f"{x_repr},{y_repr},{value!r}" for x_repr, value in zip(x_reprs, row)
+        )
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -1,9 +1,9 @@
-"""Self-contained complex SVD and signal-subspace thresholding.
+"""Complex SVD with a fixed phase convention, and signal-subspace thresholding.
 
-One-sided Jacobi on the matrix columns: cyclic sweeps of unitary 2x2
-rotations until all column pairs are numerically orthogonal.  Deterministic
-pair order and a fixed phase convention make repeated factorizations
-bit-identical.
+The factorization is LAPACK's (``numpy.linalg.svd``).  Each left singular
+vector is rotated so that its largest-magnitude entry is real and positive,
+and the matching right vector by the same phase, so the factors are
+reproducible from one call to the next.
 """
 
 from __future__ import annotations
@@ -12,14 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import ConvergenceError
-
 __all__ = ["SvdFactors", "svd", "effective_rank", "save_spectrum_csv"]
 
 DEFAULT_RANK_THRESHOLD = 0.01
-
-_ORTHO_TOL = 1e-13
-_MAX_SWEEPS = 60
 
 
 @dataclass(frozen=True)
@@ -36,46 +31,12 @@ class SvdFactors:
     m_eff: int
 
 
-def _jacobi_rotation(app: float, aqq: float, apq: complex) -> np.ndarray:
-    absq = abs(apq)
-    phase_conj = np.conj(apq) / absq
-    tau = (aqq - app) / (2.0 * absq)
-    if tau == 0.0:
-        t = 1.0
-    else:
-        t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-    return np.array([[c, s], [-s * phase_conj, c * phase_conj]])
-
-
-def _complete_basis(u: np.ndarray, ncol: int) -> np.ndarray:
-    # extend the orthonormal columns of u to ncol columns: greedily take the
-    # coordinate axis with the largest residual against the current span
-    n = u.shape[0]
-    cols = [u[:, i] for i in range(u.shape[1])]
-    proj = u @ u.conj().T if cols else np.zeros((n, n), dtype=complex)
-    while len(cols) < ncol:
-        residual_sq = 1.0 - np.diag(proj).real
-        idx = int(np.argmax(residual_sq))
-        cand = -proj[:, idx].copy()
-        cand[idx] += 1.0
-        for c in cols:  # one reorthogonalization pass
-            cand -= np.vdot(c, cand) * c
-        norm = np.linalg.norm(cand)
-        if norm < 1e-8:
-            raise ConvergenceError("basis completion failed", 0.0)
-        cand /= norm
-        cols.append(cand)
-        proj += np.outer(cand, cand.conj())
-    return np.column_stack(cols)
-
-
 def svd(matrix) -> SvdFactors:
-    """Full SVD via one-sided Jacobi with a deterministic phase convention.
+    """Full SVD with a deterministic phase convention.
 
     Accepts an ndarray or any object with a complex ``entries`` array.  The
     largest-magnitude entry of each left vector is made real and positive.
+    Singular values at or below n * eps * sigma_1 are set to exactly 0.
     """
     entries = getattr(matrix, "entries", matrix)
     a = np.array(entries, dtype=complex)
@@ -84,52 +45,16 @@ def svd(matrix) -> SvdFactors:
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError("matrix entries must be finite")
     n = a.shape[1]
-    v = np.eye(n, dtype=complex)
-
-    for _ in range(_MAX_SWEEPS):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                app = np.vdot(a[:, p], a[:, p]).real
-                aqq = np.vdot(a[:, q], a[:, q]).real
-                if app == 0.0 or aqq == 0.0:
-                    continue
-                apq = np.vdot(a[:, p], a[:, q])
-                if abs(apq) <= _ORTHO_TOL * np.sqrt(app * aqq):
-                    continue
-                j = _jacobi_rotation(app, aqq, apq)
-                a[:, [p, q]] = a[:, [p, q]] @ j
-                v[:, [p, q]] = v[:, [p, q]] @ j
-                rotated = True
-        if not rotated:
-            break
-    else:
-        raise ConvergenceError(
-            f"Jacobi SVD did not converge in {_MAX_SWEEPS} sweeps", 0.0
-        )
-
-    norms = np.linalg.norm(a, axis=0)
-    order = np.argsort(-norms, kind="stable")
-    s = norms[order]
-    v = v[:, order]
-    a = a[:, order]
+    u, s, vh = np.linalg.svd(a)
+    v = vh.conj().T
 
     cutoff = n * np.finfo(float).eps * (s[0] if s[0] > 0.0 else 1.0)
-    nkeep = int(np.sum(s > cutoff))
-    u = np.empty((n, n), dtype=complex)
-    u[:, :nkeep] = a[:, :nkeep] / s[:nkeep]
-    if nkeep < n:
-        s = np.concatenate([s[:nkeep], np.zeros(n - nkeep)])
-        u = _complete_basis(u[:, :nkeep], n)
+    s[s <= cutoff] = 0.0
 
     # phase convention: largest-magnitude entry of each left vector real positive
-    for m in range(n):
-        idx = int(np.argmax(np.abs(u[:, m])))
-        val = u[idx, m]
-        if val != 0.0:
-            phase = val / abs(val)
-            u[:, m] = u[:, m] / phase
-            v[:, m] = v[:, m] / phase
+    lead = u[np.argmax(np.abs(u), axis=0), np.arange(n)]
+    phase = lead / np.abs(lead)
+    u, v = u / phase, v / phase
 
     factors = SvdFactors(u=u, s=s, v=v, m_eff=0)
     object.__setattr__(factors, "m_eff", effective_rank(factors, DEFAULT_RANK_THRESHOLD))

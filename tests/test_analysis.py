@@ -124,6 +124,42 @@ class TestAnalyticLog:
             ana.analytic_log((0.0, 0.0), single_scatterer(), low)
 
 
+class TestBatchPoints:
+    Z = np.array([[0.3, 0.1], [0.6, -0.4]])
+    FUNCTIONALS = {
+        "mf": ana.analytic_mf,
+        "wmf1": lambda z, scat, band: ana.analytic_wmf(z, scat, band, n=1),
+        "wmf2": lambda z, scat, band: ana.analytic_wmf(z, scat, band, n=2),
+        "log": ana.analytic_log,
+    }
+
+    @pytest.mark.parametrize("name", sorted(FUNCTIONALS))
+    def test_one_scatterer_one_value_per_point(self, name):
+        func = self.FUNCTIONALS[name]
+        scat = single_scatterer(0.1, 0.2)
+        got = func(self.Z, scat, BAND)
+        assert got.shape == (2,)
+        assert list(got) == [func(z, scat, BAND) for z in self.Z]
+        if name == "mf":
+            assert got == pytest.approx([1.2099, 0.2625], abs=1e-4)
+
+    @pytest.mark.parametrize("name", sorted(FUNCTIONALS))
+    def test_two_scatterers_one_value_per_point(self, name):
+        func = self.FUNCTIONALS[name]
+        scat = ana.ScattererSet(points=np.array([[0.1, 0.2], [-0.3, 0.0]]))
+        got = func(self.Z, scat, BAND)
+        assert list(got) == [func(z, scat, BAND) for z in self.Z]
+
+    def test_batch_shape_follows_points(self):
+        z = np.array([[[0.0, 0.0], [0.2, 0.1]], [[0.4, -0.1], [0.1, 0.1]]])
+        got = ana.analytic_mf(z, single_scatterer(), BAND)
+        assert got.shape == (2, 2)
+        assert got[0, 0] == pytest.approx(BAND.count, rel=1e-12)
+
+    def test_scalar_path_returns_float(self):
+        assert isinstance(ana.analytic_log((0.3, 0.1), single_scatterer(), BAND), float)
+
+
 class TestE1E2:
     def test_small_r_limits(self):
         e1, e2 = ana.e1_e2(1e-4, BAND)

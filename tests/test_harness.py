@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,58 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return harness.ExperimentConfig(**base)
+
+
+def brute_force_distance(points, curves, samples_per_curve=2001):
+    # every sample against every point, with the same squared-distance expression
+    anchor = np.concatenate(
+        [
+            np.asarray(c.position(np.linspace(c.s_min, c.s_max, samples_per_curve)))
+            for c in curves
+        ]
+    )
+    pts = np.asarray(points, dtype=float)
+    d2 = (pts[:, None, 0] - anchor[None, :, 0]) ** 2 + (
+        pts[:, None, 1] - anchor[None, :, 1]
+    ) ** 2
+    return np.sqrt(d2.min(axis=1))
+
+
+SIGMA1 = [geo.get_curve("sigma1")]
+SIGMA12 = [geo.get_curve("sigma1"), geo.get_curve("sigma2")]
+
+
+class TestDistanceToCurves:
+    @pytest.mark.parametrize("curves", [SIGMA1, SIGMA12], ids=["sigma1", "sigma1+sigma2"])
+    def test_grid_bitwise_equal_to_brute_force(self, curves):
+        pts = img.ImageGrid(nx=101, ny=101).points()
+        got = harness.distance_to_curves(pts, curves)
+        assert np.array_equal(got, brute_force_distance(pts, curves))
+
+    @pytest.mark.parametrize("curves", [SIGMA1, SIGMA12], ids=["sigma1", "sigma1+sigma2"])
+    def test_far_grid_bitwise_equal_to_brute_force(self, curves):
+        pts = img.ImageGrid(x_min=-3, x_max=3, y_min=-3, y_max=3, nx=61, ny=61).points()
+        got = harness.distance_to_curves(pts, curves)
+        assert np.array_equal(got, brute_force_distance(pts, curves))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_points_bitwise_equal_to_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-2.0, 2.0, (3000, 2))
+        for curves in (SIGMA1, SIGMA12):
+            got = harness.distance_to_curves(pts, curves)
+            assert np.array_equal(got, brute_force_distance(pts, curves))
+
+    def test_sample_count_not_a_block_multiple(self):
+        pts = np.array([[0.0, 0.0], [0.4, -0.3], [5.0, 5.0]])
+        for samples in (2, 63, 65, 130):
+            got = harness.distance_to_curves(pts, SIGMA12, samples)
+            assert np.array_equal(got, brute_force_distance(pts, SIGMA12, samples))
+
+    def test_points_on_samples_are_zero(self):
+        c = SIGMA1[0]
+        pts = np.asarray(c.position(np.linspace(c.s_min, c.s_max, 2001)))[::97]
+        assert np.all(harness.distance_to_curves(pts, SIGMA1) == 0.0)
 
 
 class TestMetrics:
@@ -165,6 +221,39 @@ class TestRunExperiment:
             small_config(functionals=("XYZ",))
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("tau", [0.0, 1.0, -0.1, 1.5, math.nan])
+    def test_tau_in_open_unit_interval(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            small_config(tau=tau)
+
+    @pytest.mark.parametrize("directions", [1, 0, -4])
+    def test_at_least_two_directions(self, directions):
+        with pytest.raises(ValueError, match="directions"):
+            small_config(directions=directions)
+
+    @pytest.mark.parametrize("frequencies", [0, -1])
+    def test_at_least_one_frequency(self, frequencies):
+        with pytest.raises(ValueError, match="frequenc"):
+            small_config(frequencies=frequencies)
+
+    @pytest.mark.parametrize(
+        "lambda_max, lambda_min",
+        [(0.5, 0.0), (0.5, -0.3), (0.3, 0.5), (0.5, 0.5), (math.nan, 0.3)],
+    )
+    def test_wavelength_band(self, lambda_max, lambda_min):
+        with pytest.raises(ValueError, match="lambda_min"):
+            small_config(lambda_max=lambda_max, lambda_min=lambda_min)
+
+    def test_valid_edges_accepted(self):
+        # the smallest configurations the pipeline accepts stay valid
+        small_config(directions=2, tau=1e-9)
+        small_config(frequencies=1, lambda_max=0.5, lambda_min=0.5)
+        small_config(tau=0.999)
+        for name in harness.PRESETS:
+            harness.preset_config(name)
+
+
 class TestConfigFiles:
     def test_roundtrip(self, tmp_path):
         cfg = harness.preset_config("fig4")
@@ -200,6 +289,16 @@ class TestConfigFiles:
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             harness.preset_config("fig9")
+
+    @pytest.mark.parametrize("line", ["curvs = sigma2", "snr = 5"])
+    def test_unknown_key_rejected(self, tmp_path, line):
+        path = tmp_path / "cfg.txt"
+        harness.save_config(harness.preset_config("fig1"), path)
+        path.write_text(path.read_text() + line + "\n")
+        key = line.split("=")[0].strip()
+        with pytest.raises(ValueError, match=f"'{key}'") as exc:
+            harness.load_config(path)
+        assert str(path) in str(exc.value)
 
 
 class TestCli:
@@ -242,9 +341,40 @@ class TestCli:
         cfg = self._cfg(["--c", "1,0,0"])
         assert cfg.c == (1.0, 0.0, 0.0)
 
+    def test_wavelength_pair_overridden_together(self):
+        # both new wavelengths lie below the default lambda_min
+        cfg = self._cfg(["--lambda-max", "0.2", "--lambda-min", "0.1"])
+        assert (cfg.lambda_max, cfg.lambda_min) == (0.2, 0.1)
+
     def test_config_file_source(self, tmp_path):
         path = tmp_path / "cfg.txt"
         harness.save_config(harness.preset_config("fig2"), path)
         cfg = self._cfg(["--config", str(path), "--tau", "0.05"])
         assert cfg.inclusions[0].curve == "sigma2"
         assert cfg.tau == 0.05
+
+
+def test_artifacts_independent_of_blas_threads(tmp_path):
+    # a reduced fig1 in fresh interpreters at one and two BLAS threads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "submig.cli", "--preset", "fig1", "--grid", "41",
+             "--F", "3", "--out-dir", str(out)],
+            check=True, env=env, capture_output=True,
+        )
+        outputs[threads] = out
+    names = sorted(p.name for p in outputs["1"].iterdir())
+    assert names == sorted(p.name for p in outputs["2"].iterdir())
+    assert any(n.endswith(".pgm") for n in names) and "msr_f02.txt" in names
+    for name in names:
+        one = (outputs["1"] / name).read_bytes()
+        two = (outputs["2"] / name).read_bytes()
+        if name == "metrics.json":
+            one = b"".join(ln for ln in one.splitlines(True) if b"timestamp_utc" not in ln)
+            two = b"".join(ln for ln in two.splitlines(True) if b"timestamp_utc" not in ln)
+        assert one == two, name

@@ -102,6 +102,35 @@ class TestMapSingle:
         assert out.omegas == (OMEGA_05,)
 
 
+class TestCorrelationKernel:
+    @staticmethod
+    def pointwise_map(k, factors, grid, cfg, tau=0.01):
+        # the definition: full steering matrix, both subspace projections
+        m = spectral.effective_rank(factors, tau)
+        amps = cfg.c[0] + cfg.c[1] * k.dirs.thetas[:, 0] + cfg.c[2] * k.dirs.thetas[:, 1]
+        w = amps * np.exp(1j * k.omega * (grid.points() @ k.dirs.thetas.T))
+        if cfg.normalize:
+            w = w / np.linalg.norm(amps)
+        left = w.conj() @ factors.u[:, :m]
+        right = w.conj() @ factors.v[:, :m].conj()
+        return np.abs(np.sum(left * right, axis=1)).reshape(grid.ny, grid.nx)
+
+    @pytest.mark.parametrize(
+        "grid, cfg",
+        [
+            (img.ImageGrid(nx=23, ny=37), img.SteeringConfig()),
+            (img.ImageGrid(x_min=-2, x_max=0.5, nx=40, ny=16), img.SteeringConfig(c=(1, 1, 0))),
+            (img.ImageGrid(nx=2, ny=2), img.SteeringConfig(c=(1, 0, 1), normalize=False)),
+        ],
+    )
+    def test_matches_pointwise_definition(self, grid, cfg):
+        inc = sigma1_inclusion()
+        dirs, ks = pipeline(inc, [0.4], n=32, snr_db=10.0, seed=5)
+        got = img.map_single(*ks[0], grid, cfg).values
+        want = self.pointwise_map(*ks[0], grid, cfg)
+        assert np.max(np.abs(got - want)) <= 1e-13 * want.max()
+
+
 class TestMapMulti:
     def test_single_frequency_reduces_to_sf(self):
         inc = sigma1_inclusion()

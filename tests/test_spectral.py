@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from submig import forward as fwd
+from submig import geometry as geo
 from submig import spectral
 
 
@@ -86,6 +88,43 @@ class TestSvd:
     def test_contract_property(self, seed, n):
         k = random_complex(n, seed)
         check_contract(k, spectral.svd(k))
+
+
+class TestRankDeficientMsr:
+    # clean sigma1 data: far fewer nonzero singular values than directions
+    @pytest.fixture(scope="class", params=[0.5, 0.3, 1.5])
+    def factors(self, request):
+        dirs = fwd.make_directions(48)
+        inc = geo.ThinInclusion(curve=geo.get_curve("sigma1"))
+        k = fwd.assemble_msr(dirs, 2 * np.pi / request.param, inc)
+        return k.entries, spectral.svd(k)
+
+    def test_contract(self, factors):
+        k, f = factors
+        check_contract(k, f, tol=1e-12)
+
+    def test_tiny_singular_values_exactly_zero(self, factors):
+        k, f = factors
+        cutoff = k.shape[0] * np.finfo(float).eps * f.s[0]
+        assert np.all((f.s == 0.0) | (f.s > cutoff))
+        raw = np.linalg.svd(k, compute_uv=False)
+        assert np.count_nonzero(raw <= cutoff) > 0
+        assert np.count_nonzero(f.s == 0.0) == np.count_nonzero(raw <= cutoff)
+        assert np.count_nonzero(f.s) >= f.m_eff
+
+    def test_phase_convention_on_every_vector(self, factors):
+        _, f = factors
+        n = f.u.shape[0]
+        idx = np.argmax(np.abs(f.u), axis=0)
+        lead = f.u[idx, np.arange(n)]
+        assert np.all(np.abs(lead.imag) <= 1e-15 * lead.real)
+
+    def test_signal_projector_reproduces_matrix(self, factors):
+        # U_m V_m^H carries the signal subspace whatever phases LAPACK chose
+        k, f = factors
+        m = np.count_nonzero(f.s)
+        recon = (f.u[:, :m] * f.s[:m]) @ f.v[:, :m].conj().T
+        assert np.linalg.norm(recon - k) <= 1e-12 * np.linalg.norm(k)
 
 
 class TestEffectiveRank:
