@@ -59,7 +59,6 @@ from .specfun import (
     Quadrature,
     bessel_envelope,
     bessel_j,
-    gamma_fn,
     integral_j0sq,
     integral_log_j0sq,
     quad_adaptive,

@@ -64,13 +64,13 @@ def _per_curve(raw: str, count: int, name: str) -> list[float]:
     if len(vals) == 1:
         vals = vals * count
     if len(vals) != count:
-        raise SystemExit(f"--{name} needs 1 or {count} values")
+        raise ValueError(f"--{name} needs 1 or {count} values")
     return vals
 
 
 def config_from_args(args) -> ExperimentConfig:
     if args.preset and args.config:
-        raise SystemExit("choose either --preset or --config")
+        raise ValueError("choose either --preset or --config")
     if args.preset:
         cfg = preset_config(args.preset)
     elif args.config:
@@ -79,7 +79,7 @@ def config_from_args(args) -> ExperimentConfig:
         cfg = ExperimentConfig()
 
     if args.curve and args.curves:
-        raise SystemExit("choose either --curve or --curves")
+        raise ValueError("choose either --curve or --curves")
     curve_names = None
     if args.curve:
         curve_names = [args.curve]
@@ -109,7 +109,7 @@ def config_from_args(args) -> ExperimentConfig:
     if args.c:
         c = tuple(float(tok) for tok in args.c.split(","))
         if len(c) != 3:
-            raise SystemExit("--c needs exactly three values")
+            raise ValueError("--c needs exactly three values")
         cfg = replace(cfg, c=c)
     if args.out_dir:
         cfg = replace(cfg, out_dir=args.out_dir)
@@ -117,12 +117,16 @@ def config_from_args(args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.list_presets:
         for name in sorted(PRESETS):
             print(f"{name}: {PRESETS[name].summary()}")
         return 0
-    cfg = config_from_args(args)
+    try:
+        cfg = config_from_args(args)
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))  # exits with status 2
     report = run_experiment(cfg)
     print(f"config {report.config_hash[:12]} seed {cfg.seed}")
     print(f"effective ranks per frequency: {list(report.m_eff)}")

@@ -353,6 +353,24 @@ class TestCli:
         assert cfg.inclusions[0].curve == "sigma2"
         assert cfg.tau == 0.05
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--tau", "2"], ["--grid", "1"], ["--functional", "XYZ"], ["--config", "missing.cfg"]],
+        ids=["tau", "grid", "functional", "config"],
+    )
+    def test_bad_config_is_a_usage_error(self, argv, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "submig.cli", *argv, "--out-dir", str(tmp_path / "out")],
+            env=env, cwd=tmp_path, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("usage: submig") and "submig: error: " in proc.stderr
+        assert not (tmp_path / "out").exists()
+
 
 def test_artifacts_independent_of_blas_threads(tmp_path):
     # a reduced fig1 in fresh interpreters at one and two BLAS threads

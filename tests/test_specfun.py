@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from submig import specfun as sf
@@ -42,14 +42,15 @@ class TestBesselJ:
         assert abs(j0_zero_by_bisection() - J0_FIRST_ZERO) < 1e-14
         assert abs(sf.bessel_j(0, J0_FIRST_ZERO)) < 1e-10
 
-    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_absolute_accuracy_below_30(self, n):
-        xs = np.linspace(1e-9, 30.0, 411)
+        # both sides of the series/integral cutoff at x = 8
+        xs = np.concatenate([np.linspace(1e-9, 30.0, 411), [8.0 - 1e-12, 8.0, 8.0 + 1e-12]])
         ref = np.array([float(mp.besselj(n, mp.mpf(x))) for x in xs])
         got = sf.bessel_j(n, xs)
         assert np.max(np.abs(got - ref)) < 1e-12
 
-    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("n", [0, 1, 2])
     def test_relative_accuracy_above_30(self, n):
         xs = np.linspace(30.5, 200.0, 307)
         for x in xs:
@@ -57,12 +58,6 @@ class TestBesselJ:
             if abs(ref) < 1e-4:  # stay clear of zeros of J_n
                 continue
             assert abs(sf.bessel_j(n, float(x)) - ref) <= 1e-10 * abs(ref)
-
-    def test_branch_seam_continuity(self):
-        for n in (0, 1):
-            below = sf._series_dd(n, np.array([sf._SERIES_CUTOFF]))[0]
-            above = sf._asymptotic(n, np.array([sf._SERIES_CUTOFF]))[0]
-            assert abs(below - above) < 1e-12
 
     def test_asymptotic_form_on_50_200(self):
         xs = np.linspace(50.0, 200.0, 601)
@@ -73,7 +68,7 @@ class TestBesselJ:
     def test_small_argument_form(self):
         xs = np.linspace(1e-6, 0.0099, 57)
         for n in (0, 1, 2):
-            lead = (xs / 2.0) ** n / sf.gamma_fn(n + 1)
+            lead = (xs / 2.0) ** n / math.gamma(n + 1)
             assert np.all(np.abs(sf.bessel_j(n, xs) - lead) < xs ** (n + 2))
 
     def test_derivative_relation(self):
@@ -99,25 +94,6 @@ class TestBesselJ:
         x = np.linspace(0, 20, 12).reshape(3, 4)
         assert sf.bessel_j(0, x).shape == (3, 4)
         assert isinstance(sf.bessel_j(0, 1.0), float)
-
-
-class TestGamma:
-    def test_integers(self):
-        assert sf.gamma_fn(1.0) == pytest.approx(1.0, abs=1e-14)
-        assert sf.gamma_fn(5.0) == pytest.approx(24.0, rel=1e-13)
-
-    def test_half(self):
-        assert abs(sf.gamma_fn(0.5) - math.sqrt(math.pi)) < 1e-12
-
-    def test_against_mpmath(self):
-        for x in np.linspace(0.05, 30.0, 173):
-            ref = float(mp.gamma(mp.mpf(x)))
-            assert abs(sf.gamma_fn(float(x)) - ref) <= 1e-12 * abs(ref)
-
-    def test_domain(self):
-        for bad in (0.0, -1.0, math.nan):
-            with pytest.raises(ValueError):
-                sf.gamma_fn(bad)
 
 
 class TestQuadAdaptive:
@@ -206,13 +182,13 @@ class TestIntegralIdentities:
             sf.integral_log_j0sq(-1.0, 5.0)
 
     @given(st.floats(0.01, 49.0), st.floats(0.05, 10.0))
+    @example(a=0.01, width=8.0)  # ln x is steep here: a fixed-panel oracle misses by 1.5e-7
     @settings(max_examples=20, deadline=None)
     def test_log_identity_property(self, a, width):
         b = min(a + width, 50.0)
-        brute = composite_simpson(
-            lambda x: np.log(x) * sf.bessel_j(0, x) ** 2, a, b, panels=2048
-        )
-        assert abs(sf.integral_log_j0sq(a, b) - brute) < 1e-7
+        breaks = mp.linspace(a, b, math.ceil(b - a) + 1)
+        ref = mp.quad(lambda x: mp.log(x) * mp.besselj(0, x) ** 2, breaks)
+        assert abs(sf.integral_log_j0sq(a, b) - float(ref)) < 1e-7
 
     @given(st.floats(0.0, 49.0), st.floats(0.05, 10.0))
     @settings(max_examples=20, deadline=None)
