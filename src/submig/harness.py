@@ -3,8 +3,11 @@
 A run assembles one response matrix per frequency (summed over inclusions),
 optionally adds calibrated noise, factors each matrix, evaluates the
 requested imaging functionals, and scores each map against the true curves
-by sidelobe energy and localization error.  All outputs are deterministic
-for a fixed configuration and seed.
+by sidelobe energy and localization error.  The multi-frequency functionals
+share one pass of per-frequency subspace correlations, and every map is
+scored against one distance field of the grid.  A configuration that cannot
+run is rejected when it is built.  All outputs are deterministic for a fixed
+configuration and seed.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from .forward import (
-    ConfigurationError,
     FrequencySet,
     MsrMatrix,
     add_awgn,
@@ -43,6 +45,7 @@ from .imaging import (
     map_single,
     save_map_csv,
     save_map_pgm,
+    subspace_correlations,
 )
 from .spectral import effective_rank, svd, save_spectrum_csv
 
@@ -110,6 +113,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown functional tag {tag!r}")
         if not self.functionals:
             raise ValueError("need at least one functional")
+        if len(set(self.functionals)) != len(self.functionals):
+            raise ValueError(f"functional tags repeat: {', '.join(self.functionals)}")
         # the same rules make_directions, FrequencySet.from_band and the map
         # functions apply, checked before any work starts
         if not 0.0 < self.tau < 1.0:
@@ -125,6 +130,13 @@ class ExperimentConfig:
             raise ValueError(
                 f"need 0 < lambda_min <= lambda_max (< for F > 1), got lambda_min="
                 f"{self.lambda_min}, lambda_max={self.lambda_max}, F={self.frequencies}"
+            )
+        SteeringConfig(c=self.c)  # raises unless c is a nonzero 3-vector
+        # the lowest frequency is 2 pi / lambda_max, as FrequencySet computes it
+        if "LOG" in self.functionals and not 2.0 * math.pi / self.lambda_max > 1.0:
+            raise ValueError(
+                f"LOG needs omega > 1 at every frequency, i.e. lambda_max < 2 pi, "
+                f"got lambda_max={self.lambda_max}"
             )
 
     def summary(self) -> str:
@@ -360,11 +372,26 @@ def distance_to_curves(points: np.ndarray, curves, samples_per_curve: int = 2001
     return out
 
 
-def sidelobe_energy(image: ImageMap, curves, tube_radius: float) -> float:
-    """Fraction of total map mass farther than tube_radius from every curve."""
+def _grid_distance(image: ImageMap, curves, dist) -> np.ndarray:
+    if dist is None:
+        return distance_to_curves(image.grid.points(), curves)
+    if np.shape(dist) != (image.values.size,):
+        raise ValueError(
+            f"distance field of shape {np.shape(dist)} does not match "
+            f"{image.values.size} grid points"
+        )
+    return np.asarray(dist)
+
+
+def sidelobe_energy(image: ImageMap, curves, tube_radius: float, dist=None) -> float:
+    """Fraction of total map mass farther than tube_radius from every curve.
+
+    ``dist`` is ``distance_to_curves(image.grid.points(), curves)`` when the
+    caller already has it; otherwise it is computed here.
+    """
     if not tube_radius > 0.0:
         raise ValueError(f"tube_radius must be positive, got {tube_radius}")
-    dist = distance_to_curves(image.grid.points(), curves)
+    dist = _grid_distance(image, curves, dist)
     vals = image.values.ravel()
     total = vals.sum()
     if total == 0.0:
@@ -372,29 +399,24 @@ def sidelobe_energy(image: ImageMap, curves, tube_radius: float) -> float:
     return float(vals[dist > tube_radius].sum() / total)
 
 
-def localization_error(image: ImageMap, curves, k: int) -> float:
-    """Mean distance from the k largest-value grid points to the nearest curve."""
+def localization_error(image: ImageMap, curves, k: int, dist=None) -> float:
+    """Mean distance from the k largest-value grid points to the nearest curve.
+
+    ``dist`` is the grid's distance field, as for ``sidelobe_energy``; without
+    it only the k points are measured.  Both give the same bits, because the
+    field is exact at every point.
+    """
     vals = image.values.ravel()
     if not 1 <= k <= vals.size:
         raise ValueError(f"k must lie in [1, {vals.size}], got {k}")
     top = np.argsort(-vals, kind="stable")[:k]
-    dist = distance_to_curves(image.grid.points()[top], curves)
-    return float(dist.mean())
+    if dist is None:
+        return float(distance_to_curves(image.grid.points()[top], curves).mean())
+    return float(_grid_distance(image, curves, dist)[top].mean())
 
 
 # ---------------------------------------------------------------------------
 # experiment runner
-
-def _functional_weight(tag: str) -> str:
-    if tag == "MF":
-        return "one"
-    if tag == "LOG":
-        return "log"
-    match = re.match(r"^WMF\((\d+)\)$", tag)
-    if match:
-        return f"power({match.group(1)})"
-    raise ValueError(f"unknown functional tag {tag!r}")
-
 
 def _tag_slug(tag: str) -> str:
     return tag.lower().replace("(", "").replace(")", "")
@@ -425,18 +447,24 @@ def _run(cfg: ExperimentConfig) -> ExperimentReport:
             k = add_awgn(k, cfg.snr_db, derive_stream_seed(cfg.seed, index))
         ks.append((k, svd(k)))
 
+    # each frequency's correlation once, shared by every multi-frequency tag
+    correlations = None
+    if any(tag != "SF" for tag in cfg.functionals):
+        correlations = subspace_correlations(ks, cfg.grid, steering, cfg.tau)
     maps: dict[str, ImageMap] = {}
     for tag in cfg.functionals:
         if tag == "SF":
             # single-frequency map at the finest wavelength
             maps[tag] = map_single(ks[-1][0], ks[-1][1], cfg.grid, steering, cfg.tau)
         else:
-            maps[tag] = map_multi(ks, cfg.grid, steering, cfg.tau, _functional_weight(tag))
-    missing = [tag for tag in cfg.functionals if tag not in maps]
-    if missing:
-        raise ConfigurationError(f"functionals not computed: {missing}")
+            maps[tag] = map_multi(
+                ks, cfg.grid, steering, cfg.tau, tag, correlations=correlations
+            )
+    # released before the distance field, which sets the run's peak memory
+    del correlations
 
     curves = [inc.curve for inc in inclusions]
+    dist = distance_to_curves(cfg.grid.points(), curves)
     tube = cfg.lambda_min / 2.0
     k_peaks = sum(
         effective_segment_count(inc.curve, cfg.lambda_min) for inc in inclusions
@@ -446,8 +474,8 @@ def _run(cfg: ExperimentConfig) -> ExperimentReport:
         peak_flat = int(np.argmax(image.values))
         iy, ix = np.unravel_index(peak_flat, image.values.shape)
         metrics[tag] = {
-            "sidelobe_energy": sidelobe_energy(image, curves, tube),
-            "localization_error": localization_error(image, curves, k_peaks),
+            "sidelobe_energy": sidelobe_energy(image, curves, tube, dist=dist),
+            "localization_error": localization_error(image, curves, k_peaks, dist=dist),
             "peak_value": float(image.values.max()),
             "peak_x": float(image.grid.xs[ix]),
             "peak_y": float(image.grid.ys[iy]),

@@ -1,16 +1,19 @@
 """Steering vectors and the subspace-migration imaging functionals.
 
-Each functional correlates a unit-norm steering vector with the thresholded
-signal subspace of the response matrix and takes the magnitude of the
-accumulated product, optionally weighted per frequency (1, omega^n, or
-ln omega).  Steering vectors are built from separable x and y phase tables
-and a map is evaluated over fixed-size blocks of grid rows, so memory stays
-bounded on large grids; values agree with the pointwise formula to rounding.
+Every functional is built from the same per-frequency subspace correlation
+c_f(z) = w(z)^H U_m V_m^H conj(w(z)) of a unit-norm steering vector with the
+thresholded signal subspace of the response matrix.  SF is |c_F| at the
+finest wavelength; MF, WMF(n) and LOG are |sum_f xi_f c_f| with weights
+xi_f = 1/F, omega_f^n and ln omega_f.  ``subspace_correlations`` computes
+every c_f once, so a caller that wants several functionals passes the same
+array to ``map_multi`` for each.  Steering vectors are built from separable
+x and y phase tables and a correlation is evaluated over fixed-size blocks
+of grid rows, so memory stays bounded on large grids; values agree with the
+pointwise formula to rounding.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +29,7 @@ __all__ = [
     "ImageMap",
     "test_vector",
     "map_single",
+    "subspace_correlations",
     "map_multi",
     "save_map_csv",
     "save_map_pgm",
@@ -50,7 +54,7 @@ class SteeringConfig:
     def __post_init__(self):
         c = tuple(float(v) for v in self.c)
         if len(c) != 3 or not any(v != 0.0 for v in c):
-            raise ValueError("steering vector c must be a nonzero 3-vector")
+            raise ValueError(f"steering vector c must be a nonzero 3-vector, got {self.c}")
         object.__setattr__(self, "c", c)
 
 
@@ -133,10 +137,16 @@ _CHUNK_ROWS = 16
 
 
 def _subspace_correlation(
-    k: MsrMatrix, factors: SvdFactors, grid: ImageGrid, cfg: SteeringConfig, tau: float
+    k: MsrMatrix,
+    factors: SvdFactors,
+    grid: ImageGrid,
+    cfg: SteeringConfig,
+    tau: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    # c(z) = w(z)^H (U_m V_m^H) conj(w(z)); exp(-i omega z.theta) factors into
-    # an x table and a y table, so only (nx + ny) * N exponentials are taken
+    # c(z) = w(z)^H (U_m V_m^H) conj(w(z)), written into out; exp(-i omega z.theta)
+    # factors into an x table and a y table, so only (nx + ny) * N exponentials
+    # are taken
     m_eff = effective_rank(factors, tau)
     if m_eff == 0:
         raise EmptySubspaceError(
@@ -149,7 +159,8 @@ def _subspace_correlation(
     x_table = amps * np.exp(-1j * k.omega * np.outer(grid.xs, thetas[:, 0]))
     y_table = np.exp(-1j * k.omega * np.outer(grid.ys, thetas[:, 1]))
     projector = factors.u[:, :m_eff] @ factors.v[:, :m_eff].conj().T
-    out = np.empty((grid.ny, grid.nx), dtype=complex)
+    if out is None:
+        out = np.empty((grid.ny, grid.nx), dtype=complex)
     for start in range(0, grid.ny, _CHUNK_ROWS):
         rows = y_table[start : start + _CHUNK_ROWS]
         w_bar = (rows[:, None, :] * x_table[None, :, :]).reshape(-1, thetas.shape[0])
@@ -175,37 +186,13 @@ def map_single(
     return ImageMap(grid=grid, values=values, tag="SF", omegas=(float(k.omega),))
 
 
-_POWER_RE = re.compile(r"^power\((\d+)\)$")
-
-
-def _parse_weight(weight: str, omegas):
-    if weight == "one":
-        return "MF", np.ones(len(omegas))
-    if weight == "log":
-        if min(omegas) <= 1.0:
-            raise ValueError(
-                f"log weighting needs omega > 1 everywhere, got min={min(omegas)}"
-            )
-        return "LOG", np.log(omegas)
-    match = _POWER_RE.match(weight)
-    if match:
-        n = int(match.group(1))
-        return f"WMF({n})", np.asarray(omegas, dtype=float) ** n
-    raise ValueError(f"unknown weight {weight!r}; expected one, power(n), or log")
-
-
-def map_multi(
+def subspace_correlations(
     ks: list[tuple[MsrMatrix, SvdFactors]],
     grid: ImageGrid,
     cfg: SteeringConfig | None = None,
     tau: float = 0.01,
-    weight: str = "one",
-) -> ImageMap:
-    """Multi-frequency subspace migration with weight one, power(n), or log.
-
-    The unweighted map (tag MF) carries the 1/F normalization; the weighted
-    maps are raw magnitudes of the weighted double sum.
-    """
+) -> np.ndarray:
+    """Every frequency's subspace correlation c_f on the grid, as (F, ny, nx)."""
     if cfg is None:
         cfg = SteeringConfig()
     if not ks:
@@ -216,15 +203,58 @@ def map_multi(
     for k, _ in ks:
         if k.dirs.count != n or not np.array_equal(k.dirs.thetas, ks[0][0].dirs.thetas):
             raise ConfigurationError("all matrices must share one direction set")
-    omegas = [float(k.omega) for k, _ in ks]
-    tag, xi = _parse_weight(weight, omegas)
-    total = np.zeros((grid.ny, grid.nx), dtype=complex)
-    for (k, factors), weight_f in zip(ks, xi):
-        total += weight_f * _subspace_correlation(k, factors, grid, cfg, tau)
-    values = np.abs(total)
+    # one array filled in place: F separate maps fragment the heap
+    out = np.empty((len(ks), grid.ny, grid.nx), dtype=complex)
+    for f, (k, factors) in enumerate(ks):
+        _subspace_correlation(k, factors, grid, cfg, tau, out=out[f])
+    return out
+
+
+def _weights(tag: str, omegas: list[float]) -> np.ndarray:
     if tag == "MF":
+        return np.ones(len(omegas))
+    if tag == "LOG":
+        if any(w <= 1.0 for w in omegas):
+            raise ValueError(
+                f"log weighting needs omega > 1 everywhere, got min={min(omegas)}"
+            )
+        return np.log(omegas)
+    if tag.startswith("WMF(") and tag.endswith(")") and tag[4:-1].isdecimal():
+        return np.asarray(omegas, dtype=float) ** int(tag[4:-1])
+    raise ValueError(f"unknown weight {tag!r}; expected MF, WMF(n), or LOG")
+
+
+def map_multi(
+    ks: list[tuple[MsrMatrix, SvdFactors]],
+    grid: ImageGrid,
+    cfg: SteeringConfig | None = None,
+    tau: float = 0.01,
+    weight: str = "MF",
+    correlations: np.ndarray | None = None,
+) -> ImageMap:
+    """Multi-frequency subspace migration, weighted as MF, WMF(n), or LOG.
+
+    The unweighted map (MF) carries the 1/F normalization; the weighted
+    maps are raw magnitudes of the weighted double sum.  ``correlations``
+    is ``subspace_correlations(ks, grid, cfg, tau)`` when the caller already
+    has it; otherwise it is computed here.
+    """
+    omegas = [float(k.omega) for k, _ in ks]
+    xi = _weights(weight, omegas)
+    if correlations is None:
+        correlations = subspace_correlations(ks, grid, cfg, tau)
+    elif not ks or np.shape(correlations) != (len(ks), grid.ny, grid.nx):
+        raise ValueError(
+            f"correlations of shape {np.shape(correlations)} do not match "
+            f"{len(ks)} frequencies on a {grid.ny}x{grid.nx} grid"
+        )
+    total = np.zeros((grid.ny, grid.nx), dtype=complex)
+    for c_f, xi_f in zip(correlations, xi):
+        total += xi_f * c_f
+    values = np.abs(total)
+    if weight == "MF":
         values = values / len(ks)
-    return ImageMap(grid=grid, values=values, tag=tag, omegas=tuple(omegas))
+    return ImageMap(grid=grid, values=values, tag=weight, omegas=tuple(omegas))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import math
 import os
 import subprocess
@@ -133,6 +135,24 @@ class TestMetrics:
         got = harness.localization_error(image, curves, image.values.size)
         assert got == pytest.approx(dist.mean(), abs=1e-12)
 
+    @pytest.mark.parametrize("curves", [SIGMA1, SIGMA12], ids=["sigma1", "sigma1+sigma2"])
+    def test_precomputed_distance_field_gives_the_same_bits(self, curves):
+        grid = img.ImageGrid(nx=37, ny=29)
+        values = np.random.default_rng(3).random((29, 37))
+        image = img.ImageMap(grid=grid, values=values, tag="MF", omegas=(12.566,))
+        dist = harness.distance_to_curves(grid.points(), curves)
+        assert harness.sidelobe_energy(image, curves, 0.15, dist=dist) == (
+            harness.sidelobe_energy(image, curves, 0.15)
+        )
+        for k in (1, 7, values.size):
+            assert harness.localization_error(image, curves, k, dist=dist) == (
+                harness.localization_error(image, curves, k)
+            )
+        with pytest.raises(ValueError, match="distance field"):
+            harness.sidelobe_energy(image, curves, 0.15, dist=dist[:-1])
+        with pytest.raises(ValueError, match="distance field"):
+            harness.localization_error(image, curves, 3, dist=dist.reshape(29, 37))
+
     def test_localization_k_bounds(self):
         image = self._uniform_map()
         with pytest.raises(ValueError):
@@ -211,6 +231,25 @@ class TestRunExperiment:
                 tmp_path / "b" / name
             ).read_bytes(), name
 
+    def test_one_correlation_pass_and_one_distance_field(self, monkeypatch):
+        calls = {"correlation": 0, "distance": 0}
+        correlation, distance = img._subspace_correlation, harness.distance_to_curves
+
+        def count_correlation(*args, **kwargs):
+            calls["correlation"] += 1
+            return correlation(*args, **kwargs)
+
+        def count_distance(*args, **kwargs):
+            calls["distance"] += 1
+            return distance(*args, **kwargs)
+
+        monkeypatch.setattr(img, "_subspace_correlation", count_correlation)
+        monkeypatch.setattr(harness, "distance_to_curves", count_distance)
+        cfg = small_config(functionals=("MF", "WMF(1)", "LOG"))
+        report = harness.run_experiment(cfg)
+        assert set(report.maps) == {"MF", "WMF(1)", "LOG"}
+        assert calls == {"correlation": cfg.frequencies, "distance": 1}
+
     def test_sf_functional_uses_finest_wavelength(self):
         cfg = small_config(functionals=("SF",))
         report = harness.run_experiment(cfg)
@@ -245,11 +284,29 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="lambda_min"):
             small_config(lambda_max=lambda_max, lambda_min=lambda_min)
 
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            (dict(c=(0.0, 0.0, 0.0)), "steering vector c"),
+            (dict(c=(1.0, 0.0)), "steering vector c"),
+            (dict(functionals=("LOG",), lambda_max=7.0, lambda_min=6.0), "LOG needs omega > 1"),
+            (dict(functionals=("LOG",), lambda_max=2 * math.pi, lambda_min=6.0), "LOG"),
+            (dict(functionals=("MF", "MF")), "repeat"),
+            (dict(functionals=("SF", "LOG", "SF")), "repeat"),
+        ],
+        ids=["c-zero", "c-short", "log-band", "log-omega-one", "repeated", "repeated-sf"],
+    )
+    def test_rejected_before_the_run(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            small_config(**overrides)
+
     def test_valid_edges_accepted(self):
         # the smallest configurations the pipeline accepts stay valid
         small_config(directions=2, tau=1e-9)
         small_config(frequencies=1, lambda_max=0.5, lambda_min=0.5)
         small_config(tau=0.999)
+        small_config(functionals=("MF",), lambda_max=7.0, lambda_min=6.0)
+        small_config(functionals=("LOG",), lambda_max=6.0, lambda_min=5.0)
         for name in harness.PRESETS:
             harness.preset_config(name)
 
@@ -355,8 +412,16 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "argv",
-        [["--tau", "2"], ["--grid", "1"], ["--functional", "XYZ"], ["--config", "missing.cfg"]],
-        ids=["tau", "grid", "functional", "config"],
+        [
+            ["--tau", "2"],
+            ["--grid", "1"],
+            ["--functional", "XYZ"],
+            ["--config", "missing.cfg"],
+            ["--c", "0,0,0"],
+            ["--functional", "LOG", "--lambda-max", "7", "--lambda-min", "6", "--F", "2"],
+            ["--functional", "MF", "--functional", "MF"],
+        ],
+        ids=["tau", "grid", "functional", "config", "c", "log-band", "repeated-functional"],
     )
     def test_bad_config_is_a_usage_error(self, argv, tmp_path):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -396,3 +461,18 @@ def test_artifacts_independent_of_blas_threads(tmp_path):
             one = b"".join(ln for ln in one.splitlines(True) if b"timestamp_utc" not in ln)
             two = b"".join(ln for ln in two.splitlines(True) if b"timestamp_utc" not in ln)
         assert one == two, name
+
+
+def test_benchmark_bindings_resolve():
+    # perfbench/spans.py wraps these names from outside the program; a name
+    # that no longer resolves turns its layer metrics into null
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{module}.{attr}"
+        for _, module, attr in spans.BINDINGS
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert spans.BINDINGS and not missing

@@ -137,15 +137,15 @@ class TestMapMulti:
         dirs, ks = pipeline(inc, [0.5])
         grid = img.ImageGrid(nx=31, ny=31)
         single = img.map_single(*ks[0], grid)
-        multi = img.map_multi(ks, grid, weight="one")
+        multi = img.map_multi(ks, grid, weight="MF")
         assert np.allclose(multi.values, single.values / 1.0, atol=1e-14)
 
     def test_power0_is_mf_times_f(self):
         inc = sigma1_inclusion()
         dirs, ks = pipeline(inc, np.linspace(0.5, 0.3, 3))
         grid = img.ImageGrid(nx=21, ny=21)
-        mf = img.map_multi(ks, grid, weight="one")
-        w0 = img.map_multi(ks, grid, weight="power(0)")
+        mf = img.map_multi(ks, grid, weight="MF")
+        w0 = img.map_multi(ks, grid, weight="WMF(0)")
         assert np.allclose(w0.values, 3.0 * mf.values, rtol=1e-12)
         assert mf.tag == "MF" and w0.tag == "WMF(0)"
 
@@ -153,13 +153,13 @@ class TestMapMulti:
         inc = sigma1_inclusion()
         dirs, ks = pipeline(inc, np.linspace(0.5, 0.3, 3))
         grid = img.ImageGrid(nx=21, ny=21)
-        base = img.map_multi(ks, grid, weight="log")
+        base = img.map_multi(ks, grid, weight="LOG")
         phase = np.exp(0.9j)
         ks_rot = []
         for k, _ in ks:
             k2 = fwd.MsrMatrix(omega=k.omega, entries=phase * k.entries, dirs=k.dirs)
             ks_rot.append((k2, spectral.svd(k2)))
-        rot = img.map_multi(ks_rot, grid, weight="log")
+        rot = img.map_multi(ks_rot, grid, weight="LOG")
         assert np.max(np.abs(rot.values - base.values)) < 1e-9
 
     def test_grid_restriction_consistency(self):
@@ -167,15 +167,15 @@ class TestMapMulti:
         dirs, ks = pipeline(inc, [0.5, 0.4])
         full = img.ImageGrid(x_min=-1, x_max=1, y_min=-1, y_max=1, nx=21, ny=21)
         sub = img.ImageGrid(x_min=-1, x_max=0, y_min=-1, y_max=0, nx=11, ny=11)
-        out_full = img.map_multi(ks, full, weight="one")
-        out_sub = img.map_multi(ks, sub, weight="one")
+        out_full = img.map_multi(ks, full, weight="MF")
+        out_sub = img.map_multi(ks, sub, weight="MF")
         assert np.allclose(out_sub.values, out_full.values[:11, :11], atol=1e-12)
 
     def test_log_requires_omega_above_one(self):
         inc = sigma1_inclusion()
         dirs, ks = pipeline(inc, [15.0])  # omega = 2 pi / 15 < 1
-        with pytest.raises(ValueError):
-            img.map_multi(ks, img.ImageGrid(nx=11, ny=11), weight="log")
+        with pytest.raises(ValueError, match="omega > 1"):
+            img.map_multi(ks, img.ImageGrid(nx=11, ny=11), weight="LOG")
 
     def test_mixed_direction_sets_rejected(self):
         inc = sigma1_inclusion()
@@ -187,8 +187,43 @@ class TestMapMulti:
     def test_unknown_weight(self):
         inc = sigma1_inclusion()
         dirs, ks = pipeline(inc, [0.5])
-        with pytest.raises(ValueError):
-            img.map_multi(ks, img.ImageGrid(nx=11, ny=11), weight="cubic")
+        # the run's tags are the only vocabulary: the old weight names are unknown
+        for weight in ("cubic", "one", "power(0)", "log", "WMF()", "WMF(-1)", "SF"):
+            with pytest.raises(ValueError, match="unknown weight"):
+                img.map_multi(ks, img.ImageGrid(nx=11, ny=11), weight=weight)
+
+    @pytest.mark.parametrize("weight", ["MF", "WMF(1)", "LOG"])
+    def test_shared_correlations_bitwise_equal(self, weight):
+        inc = sigma1_inclusion()
+        dirs, ks = pipeline(inc, np.linspace(0.5, 0.3, 3), snr_db=10.0, seed=2)
+        grid = img.ImageGrid(nx=23, ny=19)
+        cfg = img.SteeringConfig(c=(1, 1, 0))
+        corr = img.subspace_correlations(ks, grid, cfg, 0.05)
+        assert corr.shape == (3, 19, 23)
+        shared = img.map_multi(ks, grid, cfg, 0.05, weight, correlations=corr)
+        own = img.map_multi(ks, grid, cfg, 0.05, weight)
+        assert np.array_equal(shared.values, own.values)
+        assert (shared.tag, shared.omegas) == (own.tag, own.omegas)
+
+    def test_mismatched_correlations_rejected(self):
+        inc = sigma1_inclusion()
+        dirs, ks = pipeline(inc, [0.5, 0.4])
+        grid = img.ImageGrid(nx=11, ny=13)
+        corr = img.subspace_correlations(ks, grid)
+        for bad in (corr[:1], corr[:, :, :10], corr.transpose(0, 2, 1), corr[0]):
+            with pytest.raises(ValueError, match="correlations"):
+                img.map_multi(ks, grid, correlations=bad)
+        with pytest.raises(ValueError, match="correlations"):
+            img.map_multi([], grid, correlations=corr[:0])
+
+    def test_correlations_validate_like_the_maps(self):
+        inc = sigma1_inclusion()
+        _, ks = pipeline(inc, [0.5], n=16)
+        grid = img.ImageGrid(nx=11, ny=11)
+        with pytest.raises(ValueError, match="at least one frequency"):
+            img.subspace_correlations([], grid)
+        with pytest.raises(ValueError, match="threshold"):
+            img.subspace_correlations(ks, grid, tau=1.0)
 
 
 class TestExports:
