@@ -16,7 +16,6 @@ from .forward import (
     MsrMatrix,
     add_awgn,
     assemble_msr,
-    far_field_entry,
     load_msr,
     make_directions,
     save_msr,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import CurveSample, ThinInclusion, effective_segment_count, sample_curve
+from .geometry import ThinInclusion, effective_segment_count, sample_curve
 
 __all__ = [
     "ConfigurationError",
@@ -25,7 +25,6 @@ __all__ = [
     "FrequencySet",
     "MsrMatrix",
     "make_directions",
-    "far_field_entry",
     "assemble_msr",
     "add_awgn",
     "derive_stream_seed",
@@ -129,32 +128,6 @@ def _contrast_terms(inclusion: ThinInclusion) -> tuple[float, float, float]:
 
 def _prefactor(omega: float, h: float) -> complex:
     return h * omega**2 * (1.0 + 1.0j) / (4.0 * math.sqrt(omega * math.pi))
-
-
-def far_field_entry(
-    j: int,
-    l: int,
-    dirs: DirectionSet,
-    omega: float,
-    inclusion: ThinInclusion,
-    samples: list[CurveSample],
-) -> complex:
-    """Single MSR entry for observation -theta_j and incidence theta_l."""
-    n = dirs.count
-    if not (0 <= j < n and 0 <= l < n):
-        raise IndexError(f"direction indices ({j}, {l}) out of range for N={n}")
-    tj = dirs.thetas[j]
-    tl = dirs.thetas[l]
-    c0, ev_t, ev_n = _contrast_terms(inclusion)
-    total = 0.0 + 0.0j
-    for smp in samples:
-        bracket = (
-            c0
-            + ev_t * (tj @ smp.tangent) * (tl @ smp.tangent)
-            + ev_n * (tj @ smp.normal) * (tl @ smp.normal)
-        )
-        total += smp.weight * bracket * np.exp(1j * omega * ((tj + tl) @ smp.point))
-    return _prefactor(omega, inclusion.half_thickness) * total
 
 
 def assemble_msr(dirs: DirectionSet, omega: float, inclusion: ThinInclusion) -> MsrMatrix:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import DEFAULT_QUADRATURE, ConvergenceError, Quadrature, quad_adaptive
+from .specfun import ConvergenceError, Quadrature, quad_adaptive
 
 __all__ = [
     "ParametricCurve",

@@ -56,6 +56,7 @@ __all__ = [
     "ExperimentReport",
     "PRESETS",
     "preset_config",
+    "apply_settings",
     "load_config",
     "save_config",
     "run_experiment",
@@ -79,6 +80,14 @@ class InclusionSpec:
     h: float = 0.015
     eps: float = 5.0
     mu: float = 5.0
+
+    def __post_init__(self):
+        # ThinInclusion's rules against its unit background, named by the config keys
+        if not self.h > 0.0:
+            raise ValueError(f"h must be positive, got {self.h}")
+        if not (self.eps >= 1.0 and self.mu >= 1.0):
+            raise ValueError(f"eps and mu must be at least 1, got eps={self.eps}, mu={self.mu}")
+        self.resolve()  # an unknown curve name raises here
 
     def resolve(self) -> ThinInclusion:
         curve = get_curve(self.curve) if isinstance(self.curve, str) else self.curve
@@ -123,6 +132,10 @@ class ExperimentConfig:
             raise ValueError(f"need at least 2 directions, got {self.directions}")
         if self.frequencies < 1:
             raise ValueError(f"need at least 1 frequency, got {self.frequencies}")
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
+            raise ValueError(f"snr_db must be a number or inf (no noise), got {self.snr_db}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         # strictly descending wavelengths when there is more than one
         if not 0.0 < self.lambda_min <= self.lambda_max or (
             self.frequencies > 1 and self.lambda_min == self.lambda_max
@@ -230,15 +243,82 @@ _CONFIG_KEYS = (
     "curves eps mu h directions frequencies lambda_max lambda_min snr_db seed functionals "
     "grid bounds tau c"
 ).split()
+_SCALAR_KEYS = {
+    "directions": int, "frequencies": int, "lambda_max": float, "lambda_min": float,
+    "snr_db": float, "seed": int, "tau": float,
+}
+_PER_CURVE_KEYS = ("h", "eps", "mu")
 
 
-def _split_functionals(raw: str) -> tuple[str, ...]:
-    # WMF(1) contains no commas, so a plain comma split is safe
-    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+def apply_settings(cfg: ExperimentConfig, settings: dict[str, str], source) -> ExperimentConfig:
+    """``cfg`` with raw ``key = value`` settings, as ``save_config`` writes them.
+
+    The one parser of setting values, for config files and CLI flags alike;
+    every error names ``source``, where the strings came from.  List values
+    are comma-separated.  ``eps``, ``mu`` and ``h`` take one value or one per
+    curve, and a new ``curves`` list starts from the default materials.  The
+    result is built, and so validated, once.
+    """
+    try:
+        return _apply_settings(cfg, settings)
+    except ValueError as err:
+        raise ValueError(f"{source}: {err}") from None
+
+
+def _apply_settings(cfg: ExperimentConfig, settings: dict[str, str]) -> ExperimentConfig:
+    unknown = [key for key in settings if key not in _CONFIG_KEYS]
+    if unknown:
+        expected = ", ".join(_CONFIG_KEYS)
+        raise ValueError(f"unknown key {unknown[0]!r}; expected one of {expected}")
+
+    def values(key, parse, *counts):
+        # the comma-separated tokens of one value; counts, if given, the allowed lengths
+        raw = settings[key]
+        tokens = [tok.strip() for tok in raw.split(",")]
+        if counts and len(tokens) not in counts:
+            expected = " or ".join(str(n) for n in dict.fromkeys(counts))
+            plural = "" if expected == "1" else "s"
+            raise ValueError(f"{key} takes {expected} value{plural}, got {raw!r}")
+        try:
+            return [parse(tok) for tok in tokens]
+        except ValueError:
+            raise ValueError(f"{key} has a malformed value {raw!r}") from None
+
+    changes: dict = {}
+    for key, parse in _SCALAR_KEYS.items():
+        if key in settings:
+            changes[key] = values(key, parse, 1)[0]
+    if "functionals" in settings:
+        changes["functionals"] = tuple(values("functionals", str))
+    if "c" in settings:
+        changes["c"] = tuple(values("c", float, 3))
+
+    if "curves" in settings:
+        specs = [{"curve": name} for name in values("curves", str)]
+    else:
+        specs = [dict(vars(spec)) for spec in cfg.inclusions]
+    for key in _PER_CURVE_KEYS:
+        if key in settings:
+            vals = values(key, float, 1, len(specs))
+            for spec, value in zip(specs, vals * len(specs) if len(vals) == 1 else vals):
+                spec[key] = value
+    if settings.keys() & {"curves", *_PER_CURVE_KEYS}:
+        changes["inclusions"] = tuple(InclusionSpec(**spec) for spec in specs)
+
+    grid: dict = {}
+    if "grid" in settings:
+        nx, *ny = values("grid", int, 1, 2)
+        grid.update(nx=nx, ny=ny[0] if ny else nx)
+    if "bounds" in settings:
+        grid.update(zip(("x_min", "x_max", "y_min", "y_max"), values("bounds", float, 4)))
+    if grid:
+        changes["grid"] = replace(cfg.grid, **grid)
+    return replace(cfg, **changes)
 
 
 def load_config(path, out_dir: str | None = None) -> ExperimentConfig:
-    kv: dict[str, str] = {}
+    """Read a ``save_config`` file; keys it leaves out keep their defaults."""
+    settings: dict[str, str] = {}
     with open(path, "r", encoding="ascii") as fh:
         for raw in fh:
             line = raw.strip()
@@ -247,56 +327,8 @@ def load_config(path, out_dir: str | None = None) -> ExperimentConfig:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValueError(f"{path}: malformed line {line!r}")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValueError(
-                    f"{path}: unknown key {key!r}; expected one of {', '.join(_CONFIG_KEYS)}"
-                )
-            kv[key] = value.strip()
-
-    def floats(key, default):
-        return [float(tok) for tok in kv[key].split(",")] if key in kv else default
-
-    curves = [tok.strip() for tok in kv.get("curves", "sigma1").split(",")]
-    n_curves = len(curves)
-
-    def per_curve(key, default):
-        vals = floats(key, [default])
-        if len(vals) == 1:
-            vals = vals * n_curves
-        if len(vals) != n_curves:
-            raise ValueError(f"{key} needs 1 or {n_curves} values")
-        return vals
-
-    eps = per_curve("eps", 5.0)
-    mu = per_curve("mu", 5.0)
-    h = per_curve("h", 0.015)
-    inclusions = tuple(
-        InclusionSpec(curve=c, h=hh, eps=e, mu=m)
-        for c, hh, e, m in zip(curves, h, eps, mu)
-    )
-    nx, ny = (int(v) for v in kv.get("grid", "201,201").split(",")) if "," in kv.get(
-        "grid", "201,201"
-    ) else (int(kv.get("grid", "201")),) * 2
-    bounds = floats("bounds", [-1.0, 1.0, -1.0, 1.0])
-    grid = ImageGrid(
-        x_min=bounds[0], x_max=bounds[1], y_min=bounds[2], y_max=bounds[3], nx=nx, ny=ny
-    )
-    c = floats("c", [1.0, 0.0, 1.0])
-    return ExperimentConfig(
-        inclusions=inclusions,
-        directions=int(kv.get("directions", "48")),
-        frequencies=int(kv.get("frequencies", "10")),
-        lambda_max=float(kv.get("lambda_max", "0.5")),
-        lambda_min=float(kv.get("lambda_min", "0.3")),
-        snr_db=float(kv.get("snr_db", "10")),
-        seed=int(kv.get("seed", "0")),
-        functionals=_split_functionals(kv.get("functionals", "MF,WMF(1),LOG")),
-        grid=grid,
-        tau=float(kv.get("tau", "0.01")),
-        c=(c[0], c[1], c[2]),
-        out_dir=out_dir,
-    )
+            settings[key.strip()] = value.strip()
+    return apply_settings(ExperimentConfig(out_dir=out_dir), settings, path)
 
 
 def _config_hash(cfg: ExperimentConfig) -> str:

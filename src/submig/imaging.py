@@ -46,15 +46,14 @@ class EmptySubspaceError(ValueError):
 
 @dataclass(frozen=True)
 class SteeringConfig:
-    """Steering coefficients c acting on [1, theta]; unit-norm by default."""
+    """Steering coefficients c acting on [1, theta]; steering vectors are unit-norm."""
 
     c: tuple[float, float, float] = (1.0, 0.0, 1.0)
-    normalize: bool = True
 
     def __post_init__(self):
         c = tuple(float(v) for v in self.c)
-        if len(c) != 3 or not any(v != 0.0 for v in c):
-            raise ValueError(f"steering vector c must be a nonzero 3-vector, got {self.c}")
+        if len(c) != 3 or not any(v != 0.0 for v in c) or not np.all(np.isfinite(c)):
+            raise ValueError(f"steering vector c must be a nonzero finite 3-vector, got {self.c}")
         object.__setattr__(self, "c", c)
 
 
@@ -70,8 +69,10 @@ class ImageGrid:
     ny: int = 201
 
     def __post_init__(self):
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ValueError("grid bounds must be nonempty intervals")
+        bounds = (self.x_min, self.x_max, self.y_min, self.y_max)
+        finite = np.all(np.isfinite(bounds))
+        if not (finite and self.x_min < self.x_max and self.y_min < self.y_max):
+            raise ValueError(f"grid bounds must be finite nonempty intervals, got {bounds}")
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid resolution must be at least 2 per axis")
 
@@ -124,13 +125,13 @@ def _direction_amplitudes(dirs: DirectionSet, cfg: SteeringConfig) -> np.ndarray
 def test_vector(
     z, omega: float, dirs: DirectionSet, cfg: SteeringConfig | None = None
 ) -> np.ndarray:
-    """Steering vector W(z; omega), unit Euclidean norm under the default config."""
+    """Steering vector W(z; omega), of unit Euclidean norm."""
     if cfg is None:
         cfg = SteeringConfig()
     z = np.asarray(z, dtype=float).reshape(2)
     amps = _direction_amplitudes(dirs, cfg)
     w = amps * np.exp(1j * omega * (dirs.thetas @ z))
-    return w / np.linalg.norm(amps) if cfg.normalize else w
+    return w / np.linalg.norm(amps)
 
 
 _CHUNK_ROWS = 16
@@ -153,8 +154,7 @@ def _subspace_correlation(
             f"no singular value above tau={tau} at omega={k.omega}"
         )
     amps = _direction_amplitudes(k.dirs, cfg)
-    if cfg.normalize:
-        amps = amps / np.linalg.norm(amps)
+    amps = amps / np.linalg.norm(amps)
     thetas = k.dirs.thetas
     x_table = amps * np.exp(-1j * k.omega * np.outer(grid.xs, thetas[:, 0]))
     y_table = np.exp(-1j * k.omega * np.outer(grid.ys, thetas[:, 1]))
@@ -280,19 +280,14 @@ def save_map_csv(image: ImageMap, path, normalized: bool = False) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def save_map_pgm(image: ImageMap, path, bits: int = 16) -> None:
-    """Max-normalized grayscale PGM (P5); top row is the largest y."""
-    if bits not in (8, 16):
-        raise ValueError("bits must be 8 or 16")
-    maxval = (1 << bits) - 1
-    scaled = np.rint(image.normalized() * maxval).astype(np.uint16)
+def save_map_pgm(image: ImageMap, path) -> None:
+    """Max-normalized 16-bit grayscale PGM (P5); top row is the largest y."""
+    maxval = 65535
+    scaled = np.rint(image.normalized() * maxval).astype(">u2")
     flipped = scaled[::-1]  # y increases upward in the image
     header = (
         f"P5\n# submig map v1 tag={image.tag}\n{image.grid.nx} {image.grid.ny}\n{maxval}\n"
     )
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        if bits == 8:
-            fh.write(flipped.astype(np.uint8).tobytes())
-        else:
-            fh.write(flipped.astype(">u2").tobytes())
+        fh.write(flipped.tobytes())

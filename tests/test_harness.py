@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -293,12 +294,35 @@ class TestConfigValidation:
             (dict(functionals=("LOG",), lambda_max=2 * math.pi, lambda_min=6.0), "LOG"),
             (dict(functionals=("MF", "MF")), "repeat"),
             (dict(functionals=("SF", "LOG", "SF")), "repeat"),
+            (dict(c=(math.nan, 0.0, 1.0)), "steering vector c"),
+            (dict(snr_db=math.nan), "snr_db"),
+            (dict(snr_db=-math.inf), "snr_db"),
+            (dict(seed=-1), "seed"),
         ],
-        ids=["c-zero", "c-short", "log-band", "log-omega-one", "repeated", "repeated-sf"],
+        ids=[
+            "c-zero", "c-short", "log-band", "log-omega-one", "repeated", "repeated-sf",
+            "c-nan", "snr-nan", "snr-minus-inf", "seed",
+        ],
     )
     def test_rejected_before_the_run(self, overrides, match):
         with pytest.raises(ValueError, match=match):
             small_config(**overrides)
+
+    @pytest.mark.parametrize(
+        "spec, match",
+        [
+            (dict(curve="sigma9"), "unknown curve 'sigma9'"),
+            (dict(curve=""), "unknown curve ''"),
+            (dict(curve="sigma1", h=-1.0), "h must be positive"),
+            (dict(curve="sigma1", h=math.nan), "h must be positive"),
+            (dict(curve="sigma1", eps=0.5), "eps=0.5"),
+            (dict(curve="sigma1", mu=0.99), "mu=0.99"),
+        ],
+        ids=["curve", "curve-empty", "h", "h-nan", "eps", "mu"],
+    )
+    def test_inclusion_rejected_when_built(self, spec, match):
+        with pytest.raises(ValueError, match=match):
+            harness.InclusionSpec(**spec)
 
     def test_valid_edges_accepted(self):
         # the smallest configurations the pipeline accepts stay valid
@@ -357,6 +381,83 @@ class TestConfigFiles:
             harness.load_config(path)
         assert str(path) in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "line, match",
+        [
+            ("c = 1,2", "c takes 3 values, got '1,2'"),
+            ("c = 1,0,1,5", "c takes 3 values"),
+            ("bounds = -1,1", "bounds takes 4 values"),
+            ("grid = 51,52,53", "grid takes 1 or 2 values"),
+            ("grid = 51.5", "grid has a malformed value"),
+            ("eps = 5,10", "eps takes 1 value"),
+            ("tau = abc", "tau has a malformed value 'abc'"),
+            ("tau = 0.1,0.2", "tau takes 1 value"),
+            ("directions = 4.5", "directions has a malformed value"),
+            ("seed = ", "seed has a malformed value"),
+            ("snr_db = nan", "snr_db must be"),
+            ("curves = sigma1,,sigma2", "unknown curve ''"),
+            ("functionals = MF,,LOG", "unknown functional tag ''"),
+            ("no equals sign", "malformed line"),
+        ],
+    )
+    def test_malformed_value_rejected(self, tmp_path, line, match):
+        # appended last, so the line overrides the saved value of its key
+        path = tmp_path / "cfg.txt"
+        harness.save_config(harness.preset_config("fig1"), path)
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(ValueError, match=re.escape(match)) as exc:
+            harness.load_config(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
+    def test_missing_keys_keep_the_defaults(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("# submig config v1\ntau = 0.05\n")
+        assert harness.load_config(path) == harness.ExperimentConfig(tau=0.05)
+        assert harness.load_config(path, out_dir="run").out_dir == "run"
+
+
+# the flag that spells each file key (functionals: one --functional per tag)
+FLAG_OF_KEY = {
+    "curves": "--curves", "eps": "--eps", "mu": "--mu", "h": "--h", "directions": "--N",
+    "frequencies": "--F", "lambda_max": "--lambda-max", "lambda_min": "--lambda-min",
+    "snr_db": "--snr-db", "seed": "--seed", "grid": "--grid", "tau": "--tau", "c": "--c",
+}
+
+TWO_CURVES = harness.ExperimentConfig(
+    inclusions=(
+        harness.InclusionSpec(curve="sigma1", h=0.02, eps=3.0, mu=7.0),
+        harness.InclusionSpec(curve="sigma2", h=0.01, eps=10.0, mu=2.5),
+    ),
+    snr_db=math.inf,
+    seed=11,
+    functionals=("SF", "WMF(2)"),
+    grid=img.ImageGrid(nx=150, ny=97),
+    c=(1.0, 1.0, 0.0),
+)
+
+
+class TestOneParser:
+    @pytest.mark.parametrize(
+        "cfg", [*harness.PRESETS.values(), TWO_CURVES], ids=[*harness.PRESETS, "two-curves"]
+    )
+    def test_flags_and_file_give_the_same_config(self, tmp_path, cfg):
+        path = tmp_path / "cfg.txt"
+        harness.save_config(cfg, path)
+        argv = []
+        for line in path.read_text().splitlines()[1:]:
+            key, value = (part.strip() for part in line.split("="))
+            if key == "functionals":
+                for tag in value.split(","):
+                    argv += ["--functional", tag]
+            elif key == "bounds":
+                assert cfg.grid == replace(img.ImageGrid(), nx=cfg.grid.nx, ny=cfg.grid.ny)
+            else:
+                argv += [FLAG_OF_KEY[key], value]
+        from_flags = config_from_args(build_parser().parse_args(argv))
+        from_file = harness.load_config(path)
+        assert from_flags == from_file == cfg
+        assert harness._config_hash(from_flags) == harness._config_hash(from_file)
+
 
 class TestCli:
     def _cfg(self, argv):
@@ -403,6 +504,23 @@ class TestCli:
         cfg = self._cfg(["--lambda-max", "0.2", "--lambda-min", "0.1"])
         assert (cfg.lambda_max, cfg.lambda_min) == (0.2, 0.1)
 
+    def test_overrides_validated_together(self):
+        # LOG is a default functional but is rejected at lambda_max = 7: the
+        # wavelengths and the functionals are applied at once
+        cfg = self._cfg(["--lambda-max", "7", "--lambda-min", "6", "--functional", "MF"])
+        assert (cfg.lambda_max, cfg.lambda_min, cfg.functionals) == (7.0, 6.0, ("MF",))
+        cfg = self._cfg(["--preset", "fig4", "--functional", "MF", "--lambda-max", "7"])
+        assert cfg.lambda_max == 7.0 and len(cfg.inclusions) == 2
+
+    def test_curve_is_an_alias_of_curves(self):
+        assert self._cfg(["--curve", "sigma2"]).inclusions == (
+            harness.InclusionSpec(curve="sigma2"),
+        )
+        # the last flag given wins
+        assert len(self._cfg(["--curve", "sigma2", "--curves", "sigma1,sigma2"]).inclusions) == 2
+        assert len(self._cfg(["--curves", "sigma1,sigma2", "--curve", "sigma2"]).inclusions) == 1
+        assert self._cfg(["--tau", "0.2", "--tau", "0.3"]).tau == 0.3
+
     def test_config_file_source(self, tmp_path):
         path = tmp_path / "cfg.txt"
         harness.save_config(harness.preset_config("fig2"), path)
@@ -411,19 +529,35 @@ class TestCli:
         assert cfg.tau == 0.05
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, names",
         [
-            ["--tau", "2"],
-            ["--grid", "1"],
-            ["--functional", "XYZ"],
-            ["--config", "missing.cfg"],
-            ["--c", "0,0,0"],
-            ["--functional", "LOG", "--lambda-max", "7", "--lambda-min", "6", "--F", "2"],
-            ["--functional", "MF", "--functional", "MF"],
+            (["--tau", "2"], "tau"),
+            (["--grid", "1"], "grid resolution"),
+            (["--functional", "XYZ"], "functional"),
+            (["--config", "missing.cfg"], "missing.cfg"),
+            (["--c", "0,0,0"], "steering vector c"),
+            (["--functional", "LOG", "--lambda-max", "7", "--lambda-min", "6", "--F", "2"],
+             "LOG"),
+            (["--functional", "MF", "--functional", "MF"], "functional"),
+            (["--curve", "sigma9"], "curve"),
+            (["--curves", "sigma1,,sigma2"], "curve"),
+            (["--eps", "0.5"], "eps"),
+            (["--h", "-1"], "h must"),
+            (["--snr-db", "nan"], "snr_db"),
+            (["--grid", "51,52,53"], "grid takes"),
+            (["--c", "1,0,1,5"], "c takes"),
+            (["--tau", "abc"], "tau has"),
+            (["--N", "4.5"], "directions has"),
+            (["--config", "bad.cfg"], "bad.cfg: c takes"),
         ],
-        ids=["tau", "grid", "functional", "config", "c", "log-band", "repeated-functional"],
+        ids=[
+            "tau", "grid", "functional", "config", "c", "log-band", "repeated-functional",
+            "unknown-curve", "empty-curve", "eps", "h", "snr-nan", "grid-count", "c-count",
+            "tau-malformed", "directions-malformed", "config-c-count",
+        ],
     )
-    def test_bad_config_is_a_usage_error(self, argv, tmp_path):
+    def test_bad_config_is_a_usage_error(self, argv, names, tmp_path):
+        (tmp_path / "bad.cfg").write_text("c = 1,2\n")
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -434,6 +568,9 @@ class TestCli:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("usage: submig") and "submig: error: " in proc.stderr
+        error = proc.stderr.splitlines()[-1]
+        assert error.startswith("submig: error: ") and names in error
+        assert proc.stderr.count("submig: error: ") == 1
         assert not (tmp_path / "out").exists()
 
 

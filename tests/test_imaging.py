@@ -108,9 +108,7 @@ class TestCorrelationKernel:
         # the definition: full steering matrix, both subspace projections
         m = spectral.effective_rank(factors, tau)
         amps = cfg.c[0] + cfg.c[1] * k.dirs.thetas[:, 0] + cfg.c[2] * k.dirs.thetas[:, 1]
-        w = amps * np.exp(1j * k.omega * (grid.points() @ k.dirs.thetas.T))
-        if cfg.normalize:
-            w = w / np.linalg.norm(amps)
+        w = amps * np.exp(1j * k.omega * (grid.points() @ k.dirs.thetas.T)) / np.linalg.norm(amps)
         left = w.conj() @ factors.u[:, :m]
         right = w.conj() @ factors.v[:, :m].conj()
         return np.abs(np.sum(left * right, axis=1)).reshape(grid.ny, grid.nx)
@@ -120,7 +118,7 @@ class TestCorrelationKernel:
         [
             (img.ImageGrid(nx=23, ny=37), img.SteeringConfig()),
             (img.ImageGrid(x_min=-2, x_max=0.5, nx=40, ny=16), img.SteeringConfig(c=(1, 1, 0))),
-            (img.ImageGrid(nx=2, ny=2), img.SteeringConfig(c=(1, 0, 1), normalize=False)),
+            (img.ImageGrid(nx=2, ny=2), img.SteeringConfig(c=(1, 0, 1))),
         ],
     )
     def test_matches_pointwise_definition(self, grid, cfg):
@@ -256,18 +254,14 @@ class TestExports:
         iy, ix = np.unravel_index(np.argmax(out.values), out.values.shape)
         assert pixels[10 - iy, ix] == 65535
 
-    def test_pgm_8bit(self, tmp_path):
-        out = self._map()
-        path = tmp_path / "map8.pgm"
-        img.save_map_pgm(out, path, bits=8)
-        assert b"255\n" in path.read_bytes()
-
 
 def test_grid_validation():
     with pytest.raises(ValueError):
         img.ImageGrid(nx=1)
     with pytest.raises(ValueError):
         img.ImageGrid(x_min=1.0, x_max=-1.0)
+    with pytest.raises(ValueError, match="finite"):
+        img.ImageGrid(x_min=-math.inf)
 
 
 def test_grid_points_order():

@@ -110,7 +110,7 @@ class TestRankDeficientMsr:
         raw = np.linalg.svd(k, compute_uv=False)
         assert np.count_nonzero(raw <= cutoff) > 0
         assert np.count_nonzero(f.s == 0.0) == np.count_nonzero(raw <= cutoff)
-        assert np.count_nonzero(f.s) >= f.m_eff
+        assert np.count_nonzero(f.s) >= spectral.effective_rank(f, 0.01)
 
     def test_phase_convention_on_every_vector(self, factors):
         _, f = factors
@@ -131,8 +131,7 @@ class TestEffectiveRank:
     def _factors(self, s):
         n = len(s)
         return spectral.SvdFactors(
-            u=np.eye(n, dtype=complex), s=np.asarray(s, float), v=np.eye(n, dtype=complex),
-            m_eff=0,
+            u=np.eye(n, dtype=complex), s=np.asarray(s, float), v=np.eye(n, dtype=complex)
         )
 
     def test_direct_count(self):
