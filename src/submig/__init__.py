@@ -55,7 +55,6 @@ from .imaging import (
 )
 from .specfun import (
     ConvergenceError,
-    Quadrature,
     bessel_envelope,
     bessel_j,
     integral_j0sq,

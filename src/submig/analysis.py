@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import Quadrature, bessel_envelope, bessel_j, quad_adaptive
+from .specfun import bessel_envelope, bessel_j, quad_adaptive
 
 __all__ = [
     "ScattererSet",
@@ -88,7 +88,7 @@ def analytic_sf(z, scat: ScattererSet, omega: float):
     return float(vals) if np.ndim(vals) == 0 else vals
 
 
-def analytic_mf(z, scat: ScattererSet, band: BandLimits, q: Quadrature | None = None) -> float:
+def analytic_mf(z, scat: ScattererSet, band: BandLimits) -> float:
     """Multi-frequency structure: band-averaged integral of J0(omega r)^2.
 
     Envelope boundary terms plus the quadrature remainder of J1^2, scaled by
@@ -96,22 +96,20 @@ def analytic_mf(z, scat: ScattererSet, band: BandLimits, q: Quadrature | None = 
     A trailing-(2) batch of search points gives one value per point.
     """
     if np.ndim(z) > 1:
-        return _per_point(analytic_mf, z, scat, band, q)
+        return _per_point(analytic_mf, z, scat, band)
     total = 0.0
     for r in _radii(np.asarray(z, dtype=float), scat):
         boundary = band.omega_f * bessel_envelope(band.omega_f * r) - band.omega1 * (
             bessel_envelope(band.omega1 * r)
         )
         rest = quad_adaptive(
-            lambda w: bessel_j(1, w * r) ** 2, band.omega1, band.omega_f, q
+            lambda w: bessel_j(1, w * r) ** 2, band.omega1, band.omega_f
         )
         total += boundary + rest
     return band.count / band.width * total
 
 
-def analytic_wmf(
-    z, scat: ScattererSet, band: BandLimits, n: int = 1, q: Quadrature | None = None
-) -> float:
+def analytic_wmf(z, scat: ScattererSet, band: BandLimits, n: int = 1) -> float:
     """Power-weighted structure: (F/width) * integral of omega^n J0(omega r)^2.
 
     The n = 1 remainder vanishes identically (the x^2/2 envelope
@@ -121,9 +119,9 @@ def analytic_wmf(
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError(f"weight power must be a nonnegative integer, got {n!r}")
     if np.ndim(z) > 1:
-        return _per_point(analytic_wmf, z, scat, band, n, q)
+        return _per_point(analytic_wmf, z, scat, band, n)
     if n == 0:
-        return analytic_mf(z, scat, band, q)
+        return analytic_mf(z, scat, band)
     total = 0.0
     for r in _radii(np.asarray(z, dtype=float), scat):
         if n == 1:
@@ -133,12 +131,12 @@ def analytic_wmf(
             )
         else:
             total += quad_adaptive(
-                lambda w: w**n * bessel_j(0, w * r) ** 2, band.omega1, band.omega_f, q
+                lambda w: w**n * bessel_j(0, w * r) ** 2, band.omega1, band.omega_f
             )
     return band.count / band.width * total
 
 
-def analytic_log(z, scat: ScattererSet, band: BandLimits, q: Quadrature | None = None) -> float:
+def analytic_log(z, scat: ScattererSet, band: BandLimits) -> float:
     """Log-weighted structure: (F/width) * integral of ln(omega) J0(omega r)^2.
 
     Boundary terms omega ln(omega) * envelope minus the quadrature remainder
@@ -148,7 +146,7 @@ def analytic_log(z, scat: ScattererSet, band: BandLimits, q: Quadrature | None =
     if band.omega1 <= 1.0:
         raise ValueError(f"log weighting needs omega1 > 1, got {band.omega1}")
     if np.ndim(z) > 1:
-        return _per_point(analytic_log, z, scat, band, q)
+        return _per_point(analytic_log, z, scat, band)
     total = 0.0
     for r in _radii(np.asarray(z, dtype=float), scat):
         boundary = band.omega_f * math.log(band.omega_f) * bessel_envelope(
@@ -159,13 +157,12 @@ def analytic_log(z, scat: ScattererSet, band: BandLimits, q: Quadrature | None =
             - (np.log(w) - 1.0) * bessel_j(1, w * r) ** 2,
             band.omega1,
             band.omega_f,
-            q,
         )
         total += boundary - rest
     return band.count / band.width * total
 
 
-def e1_e2(r: float, band: BandLimits, q: Quadrature | None = None) -> tuple[float, float]:
+def e1_e2(r: float, band: BandLimits) -> tuple[float, float]:
     """Improvement diagnostics over the band at separation r > 0.
 
     E1 integrates J0(omega r)^2, E2 integrates (ln omega - 1) J1(omega r)^2;
@@ -174,17 +171,16 @@ def e1_e2(r: float, band: BandLimits, q: Quadrature | None = None) -> tuple[floa
     """
     if not r > 0.0:
         raise ValueError(f"separation must be positive, got {r}")
-    e1 = quad_adaptive(lambda w: bessel_j(0, w * r) ** 2, band.omega1, band.omega_f, q)
+    e1 = quad_adaptive(lambda w: bessel_j(0, w * r) ** 2, band.omega1, band.omega_f)
     e2 = quad_adaptive(
         lambda w: (np.log(w) - 1.0) * bessel_j(1, w * r) ** 2,
         band.omega1,
         band.omega_f,
-        q,
     )
     return e1, e2
 
 
-def save_e1e2_csv(radii, band: BandLimits, path, q: Quadrature | None = None) -> None:
+def save_e1e2_csv(radii, band: BandLimits, path) -> None:
     """Sweep of (r, E1, E2, -E1+E2) rows for sign-region plots."""
     lines = [
         "# submig e1e2 v1",
@@ -193,7 +189,7 @@ def save_e1e2_csv(radii, band: BandLimits, path, q: Quadrature | None = None) ->
         "r,e1,e2,e2_minus_e1",
     ]
     for r in radii:
-        e1, e2 = e1_e2(float(r), band, q)
+        e1, e2 = e1_e2(float(r), band)
         lines.append(f"{float(r)!r},{e1!r},{e2!r},{e2 - e1!r}")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -10,9 +10,11 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .forward import ConfigurationError
 from .harness import (
     PRESETS,
     ExperimentConfig,
+    ExperimentError,
     apply_settings,
     load_config,
     preset_config,
@@ -87,7 +89,13 @@ def main(argv=None) -> int:
         cfg = config_from_args(args)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))  # exits with status 2
-    report = run_experiment(cfg)
+    try:
+        report = run_experiment(cfg)
+    except ExperimentError as exc:
+        # M < N needs the curve lengths, so only the run can check it
+        if isinstance(exc.__cause__, ConfigurationError):
+            parser.error(str(exc))
+        raise
     print(f"config {report.config_hash[:12]} seed {cfg.seed}")
     print(f"effective ranks per frequency: {list(report.m_eff)}")
     for tag in cfg.functionals:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import ConvergenceError, Quadrature, quad_adaptive
+from .specfun import ConvergenceError, quad_adaptive
 
 __all__ = [
     "ParametricCurve",
@@ -137,9 +137,9 @@ class CurveSample:
     s: float = field(default=math.nan)
 
 
-def curve_length(curve: ParametricCurve, q: Quadrature | None = None) -> float:
+def curve_length(curve: ParametricCurve) -> float:
     """Arclength of the curve via adaptive quadrature of its speed."""
-    return quad_adaptive(curve.speed, curve.s_min, curve.s_max, q)
+    return quad_adaptive(curve.speed, curve.s_min, curve.s_max)
 
 
 def frames(curve: ParametricCurve, s: float) -> tuple[np.ndarray, np.ndarray]:

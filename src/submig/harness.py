@@ -4,10 +4,10 @@ A run assembles one response matrix per frequency (summed over inclusions),
 optionally adds calibrated noise, factors each matrix, evaluates the
 requested imaging functionals, and scores each map against the true curves
 by sidelobe energy and localization error.  The multi-frequency functionals
-share one pass of per-frequency subspace correlations, and every map is
+combine one pass of per-frequency subspace correlations, and every map is
 scored against one distance field of the grid.  A configuration that cannot
-run is rejected when it is built.  All outputs are deterministic for a fixed
-configuration and seed.
+run is rejected when it is built, except M >= N, which the run finds first.
+All outputs are deterministic for a fixed configuration and seed.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import re
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -41,6 +40,7 @@ from .imaging import (
     ImageGrid,
     ImageMap,
     SteeringConfig,
+    _weights,
     map_multi,
     map_single,
     save_map_csv,
@@ -64,9 +64,6 @@ __all__ = [
     "localization_error",
     "distance_to_curves",
 ]
-
-_FUNCTIONAL_RE = re.compile(r"^(SF|MF|LOG|WMF\(\d+\))$")
-
 
 class ExperimentError(RuntimeError):
     """A module error raised during a run, annotated with config context."""
@@ -118,8 +115,11 @@ class ExperimentConfig:
         if not self.inclusions:
             raise ValueError("need at least one inclusion")
         for tag in self.functionals:
-            if not _FUNCTIONAL_RE.match(tag):
-                raise ValueError(f"unknown functional tag {tag!r}")
+            try:
+                if tag != "SF":
+                    _weights(tag, [])  # map_multi's parser; the LOG band is checked below
+            except ValueError:
+                raise ValueError(f"unknown functional tag {tag!r}") from None
         if not self.functionals:
             raise ValueError("need at least one functional")
         if len(set(self.functionals)) != len(self.functionals):
@@ -404,9 +404,7 @@ def distance_to_curves(points: np.ndarray, curves, samples_per_curve: int = 2001
     return out
 
 
-def _grid_distance(image: ImageMap, curves, dist) -> np.ndarray:
-    if dist is None:
-        return distance_to_curves(image.grid.points(), curves)
+def _check_distance_field(image: ImageMap, dist) -> np.ndarray:
     if np.shape(dist) != (image.values.size,):
         raise ValueError(
             f"distance field of shape {np.shape(dist)} does not match "
@@ -415,15 +413,15 @@ def _grid_distance(image: ImageMap, curves, dist) -> np.ndarray:
     return np.asarray(dist)
 
 
-def sidelobe_energy(image: ImageMap, curves, tube_radius: float, dist=None) -> float:
+def sidelobe_energy(image: ImageMap, dist, tube_radius: float) -> float:
     """Fraction of total map mass farther than tube_radius from every curve.
 
-    ``dist`` is ``distance_to_curves(image.grid.points(), curves)`` when the
-    caller already has it; otherwise it is computed here.
+    ``dist`` is the grid's distance field,
+    ``distance_to_curves(image.grid.points(), curves)``.
     """
     if not tube_radius > 0.0:
         raise ValueError(f"tube_radius must be positive, got {tube_radius}")
-    dist = _grid_distance(image, curves, dist)
+    dist = _check_distance_field(image, dist)
     vals = image.values.ravel()
     total = vals.sum()
     if total == 0.0:
@@ -431,20 +429,17 @@ def sidelobe_energy(image: ImageMap, curves, tube_radius: float, dist=None) -> f
     return float(vals[dist > tube_radius].sum() / total)
 
 
-def localization_error(image: ImageMap, curves, k: int, dist=None) -> float:
+def localization_error(image: ImageMap, dist, k: int) -> float:
     """Mean distance from the k largest-value grid points to the nearest curve.
 
-    ``dist`` is the grid's distance field, as for ``sidelobe_energy``; without
-    it only the k points are measured.  Both give the same bits, because the
-    field is exact at every point.
+    ``dist`` is the grid's distance field, as for ``sidelobe_energy``.
     """
     vals = image.values.ravel()
     if not 1 <= k <= vals.size:
         raise ValueError(f"k must lie in [1, {vals.size}], got {k}")
+    dist = _check_distance_field(image, dist)
     top = np.argsort(-vals, kind="stable")[:k]
-    if dist is None:
-        return float(distance_to_curves(image.grid.points()[top], curves).mean())
-    return float(_grid_distance(image, curves, dist)[top].mean())
+    return float(dist[top].mean())
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +475,7 @@ def _run(cfg: ExperimentConfig) -> ExperimentReport:
         ks.append((k, svd(k)))
 
     # each frequency's correlation once, shared by every multi-frequency tag
+    omegas = tuple(float(w) for w in freqs.omegas)
     correlations = None
     if any(tag != "SF" for tag in cfg.functionals):
         correlations = subspace_correlations(ks, cfg.grid, steering, cfg.tau)
@@ -489,14 +485,11 @@ def _run(cfg: ExperimentConfig) -> ExperimentReport:
             # single-frequency map at the finest wavelength
             maps[tag] = map_single(ks[-1][0], ks[-1][1], cfg.grid, steering, cfg.tau)
         else:
-            maps[tag] = map_multi(
-                ks, cfg.grid, steering, cfg.tau, tag, correlations=correlations
-            )
+            maps[tag] = map_multi(correlations, omegas, cfg.grid, tag)
     # released before the distance field, which sets the run's peak memory
     del correlations
 
-    curves = [inc.curve for inc in inclusions]
-    dist = distance_to_curves(cfg.grid.points(), curves)
+    dist = distance_to_curves(cfg.grid.points(), [inc.curve for inc in inclusions])
     tube = cfg.lambda_min / 2.0
     k_peaks = sum(
         effective_segment_count(inc.curve, cfg.lambda_min) for inc in inclusions
@@ -506,8 +499,8 @@ def _run(cfg: ExperimentConfig) -> ExperimentReport:
         peak_flat = int(np.argmax(image.values))
         iy, ix = np.unravel_index(peak_flat, image.values.shape)
         metrics[tag] = {
-            "sidelobe_energy": sidelobe_energy(image, curves, tube, dist=dist),
-            "localization_error": localization_error(image, curves, k_peaks, dist=dist),
+            "sidelobe_energy": sidelobe_energy(image, dist, tube),
+            "localization_error": localization_error(image, dist, k_peaks),
             "peak_value": float(image.values.max()),
             "peak_x": float(image.grid.xs[ix]),
             "peak_y": float(image.grid.ys[iy]),
@@ -517,7 +510,7 @@ def _run(cfg: ExperimentConfig) -> ExperimentReport:
         config=cfg,
         config_hash=_config_hash(cfg),
         timestamp_utc=datetime.now(timezone.utc).isoformat(),
-        omegas=tuple(float(w) for w in freqs.omegas),
+        omegas=omegas,
         m_eff=tuple(effective_rank(factors, cfg.tau) for _, factors in ks),
         spectra=tuple(factors.s.copy() for _, factors in ks),
         maps=maps,

@@ -5,8 +5,8 @@ c_f(z) = w(z)^H U_m V_m^H conj(w(z)) of a unit-norm steering vector with the
 thresholded signal subspace of the response matrix.  SF is |c_F| at the
 finest wavelength; MF, WMF(n) and LOG are |sum_f xi_f c_f| with weights
 xi_f = 1/F, omega_f^n and ln omega_f.  ``subspace_correlations`` computes
-every c_f once, so a caller that wants several functionals passes the same
-array to ``map_multi`` for each.  Steering vectors are built from separable
+every c_f once, and ``map_multi`` combines that one array into each
+weighted functional.  Steering vectors are built from separable
 x and y phase tables and a correlation is evaluated over fixed-size blocks
 of grid rows, so memory stays bounded on large grids; values agree with the
 pointwise formula to rounding.
@@ -143,8 +143,8 @@ def _subspace_correlation(
     grid: ImageGrid,
     cfg: SteeringConfig,
     tau: float,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+    out: np.ndarray,
+) -> None:
     # c(z) = w(z)^H (U_m V_m^H) conj(w(z)), written into out; exp(-i omega z.theta)
     # factors into an x table and a y table, so only (nx + ny) * N exponentials
     # are taken
@@ -159,15 +159,12 @@ def _subspace_correlation(
     x_table = amps * np.exp(-1j * k.omega * np.outer(grid.xs, thetas[:, 0]))
     y_table = np.exp(-1j * k.omega * np.outer(grid.ys, thetas[:, 1]))
     projector = factors.u[:, :m_eff] @ factors.v[:, :m_eff].conj().T
-    if out is None:
-        out = np.empty((grid.ny, grid.nx), dtype=complex)
     for start in range(0, grid.ny, _CHUNK_ROWS):
         rows = y_table[start : start + _CHUNK_ROWS]
         w_bar = (rows[:, None, :] * x_table[None, :, :]).reshape(-1, thetas.shape[0])
         out[start : start + rows.shape[0]] = np.sum(
             (w_bar @ projector) * w_bar, axis=1
         ).reshape(rows.shape[0], grid.nx)
-    return out
 
 
 def map_single(
@@ -178,11 +175,7 @@ def map_single(
     tau: float = 0.01,
 ) -> ImageMap:
     """Single-frequency subspace migration map."""
-    if cfg is None:
-        cfg = SteeringConfig()
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"threshold must lie in (0, 1), got {tau}")
-    values = np.abs(_subspace_correlation(k, factors, grid, cfg, tau))
+    values = np.abs(subspace_correlations([(k, factors)], grid, cfg, tau)[0])
     return ImageMap(grid=grid, values=values, tag="SF", omegas=(float(k.omega),))
 
 
@@ -219,41 +212,38 @@ def _weights(tag: str, omegas: list[float]) -> np.ndarray:
                 f"log weighting needs omega > 1 everywhere, got min={min(omegas)}"
             )
         return np.log(omegas)
-    if tag.startswith("WMF(") and tag.endswith(")") and tag[4:-1].isdecimal():
-        return np.asarray(omegas, dtype=float) ** int(tag[4:-1])
+    power = tag[4:-1]
+    if tag.startswith("WMF(") and tag.endswith(")") and power.isascii() and power.isdecimal():
+        return np.asarray(omegas, dtype=float) ** int(power)
     raise ValueError(f"unknown weight {tag!r}; expected MF, WMF(n), or LOG")
 
 
 def map_multi(
-    ks: list[tuple[MsrMatrix, SvdFactors]],
+    correlations: np.ndarray,
+    omegas: tuple[float, ...] | list[float],
     grid: ImageGrid,
-    cfg: SteeringConfig | None = None,
-    tau: float = 0.01,
     weight: str = "MF",
-    correlations: np.ndarray | None = None,
 ) -> ImageMap:
     """Multi-frequency subspace migration, weighted as MF, WMF(n), or LOG.
 
-    The unweighted map (MF) carries the 1/F normalization; the weighted
-    maps are raw magnitudes of the weighted double sum.  ``correlations``
-    is ``subspace_correlations(ks, grid, cfg, tau)`` when the caller already
-    has it; otherwise it is computed here.
+    ``correlations`` is ``subspace_correlations(ks, grid, cfg, tau)`` and
+    ``omegas`` the frequencies of ``ks``, in the same order.  The unweighted
+    map (MF) carries the 1/F normalization; the weighted maps are raw
+    magnitudes of the weighted double sum.
     """
-    omegas = [float(k.omega) for k, _ in ks]
+    omegas = [float(w) for w in omegas]
     xi = _weights(weight, omegas)
-    if correlations is None:
-        correlations = subspace_correlations(ks, grid, cfg, tau)
-    elif not ks or np.shape(correlations) != (len(ks), grid.ny, grid.nx):
+    if not omegas or np.shape(correlations) != (len(omegas), grid.ny, grid.nx):
         raise ValueError(
             f"correlations of shape {np.shape(correlations)} do not match "
-            f"{len(ks)} frequencies on a {grid.ny}x{grid.nx} grid"
+            f"{len(omegas)} frequencies on a {grid.ny}x{grid.nx} grid"
         )
     total = np.zeros((grid.ny, grid.nx), dtype=complex)
     for c_f, xi_f in zip(correlations, xi):
         total += xi_f * c_f
     values = np.abs(total)
     if weight == "MF":
-        values = values / len(ks)
+        values = values / len(omegas)
     return ImageMap(grid=grid, values=values, tag=weight, omegas=tuple(omegas))
 
 

@@ -1,7 +1,7 @@
 """Self-contained special functions and quadrature.
 
 Bessel functions of integer order (first kind), a deterministic adaptive
-Simpson integrator, and the closed-form weighted integrals of J0(x)^2 that
+Simpson integrator with fixed tolerances, and the closed-form weighted integrals of J0(x)^2 that
 the imaging analysis relies on.  J_n is its power series below x = 8 and,
 from 8 up, the midpoint rule on its periodic integral representation, which
 converges exponentially (Trefethen & Weideman, SIAM Review 56, 2014).  No
@@ -12,13 +12,11 @@ against independent high-precision oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ConvergenceError",
-    "Quadrature",
     "bessel_j",
     "quad_adaptive",
     "integral_j0sq",
@@ -33,25 +31,6 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.estimate = estimate
 
-
-@dataclass(frozen=True)
-class Quadrature:
-    """Adaptive-quadrature tolerances (abs_tol/rel_tol > 0, max_depth >= 10)."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_depth: int = 40
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
-            raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
-        if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_depth < 10:
-            raise ValueError(f"max_depth must be >= 10, got {self.max_depth}")
-
-
-DEFAULT_QUADRATURE = Quadrature()
 
 # ---------------------------------------------------------------------------
 # Bessel J_n
@@ -128,6 +107,9 @@ def bessel_envelope(x):
 # ---------------------------------------------------------------------------
 # adaptive Simpson
 
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-10
+_MAX_DEPTH = 40
 _MAX_ACTIVE_INTERVALS = 2_000_000
 
 
@@ -143,16 +125,15 @@ def _eval_integrand(f, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def quad_adaptive(f, a: float, b: float, q: Quadrature | None = None) -> float:
+def quad_adaptive(f, a: float, b: float) -> float:
     """Adaptive Simpson integral of f over [a, b].
 
     f is evaluated on ndarrays of abscissae (scalar-constant returns are
-    broadcast).  Subdivision stops per interval once the Richardson error
-    estimate passes the halved tolerance; exceeding max_depth raises
-    ConvergenceError carrying the best estimate.
+    broadcast).  The tolerance on [a, b] is max(1e-10, 1e-10 |S|), S the
+    first Simpson estimate, and it halves with each split; an interval stops
+    once its Richardson error estimate is within its share.  40 levels
+    without convergence raise ConvergenceError carrying the best estimate.
     """
-    if q is None:
-        q = DEFAULT_QUADRATURE
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -170,10 +151,10 @@ def quad_adaptive(f, a: float, b: float, q: Quadrature | None = None) -> float:
     h = np.array([b - a])
     left = np.array([a])
     s = h / 6.0 * (fa + 4.0 * fm + fb)
-    tol = np.array([max(q.abs_tol, q.rel_tol * abs(float(s[0])))])
+    tol = np.array([max(_ABS_TOL, _REL_TOL * abs(float(s[0])))])
 
     done: list[float] = []
-    for _ in range(q.max_depth):
+    for _ in range(_MAX_DEPTH):
         m1 = left + 0.25 * h
         m2 = left + 0.75 * h
         f1 = _eval_integrand(f, m1)
@@ -210,7 +191,7 @@ def quad_adaptive(f, a: float, b: float, q: Quadrature | None = None) -> float:
         tol = np.repeat(0.5 * tol[keep], 2)
 
     raise ConvergenceError(
-        f"max_depth={q.max_depth} reached without convergence",
+        f"max_depth={_MAX_DEPTH} reached without convergence",
         math.fsum(done) + float(np.sum(s)),
     )
 
@@ -218,7 +199,7 @@ def quad_adaptive(f, a: float, b: float, q: Quadrature | None = None) -> float:
 # ---------------------------------------------------------------------------
 # closed-form weighted Bessel integrals
 
-def integral_j0sq(a: float, b: float, q: Quadrature | None = None) -> float:
+def integral_j0sq(a: float, b: float) -> float:
     """Integral of J0(x)^2 over [a, b] via the envelope boundary terms.
 
     Uses x*(J0^2 + J1^2) evaluated at the endpoints plus the quadrature of
@@ -231,10 +212,10 @@ def integral_j0sq(a: float, b: float, q: Quadrature | None = None) -> float:
     if a == b:
         return 0.0
     boundary = b * bessel_envelope(b) - a * bessel_envelope(a)
-    return boundary + quad_adaptive(lambda x: bessel_j(1, x) ** 2, a, b, q)
+    return boundary + quad_adaptive(lambda x: bessel_j(1, x) ** 2, a, b)
 
 
-def integral_log_j0sq(a: float, b: float, q: Quadrature | None = None) -> float:
+def integral_log_j0sq(a: float, b: float) -> float:
     """Integral of ln(x) * J0(x)^2 over [a, b], 0 < a <= b.
 
     Boundary term (x ln x - x) * (J0^2 + J1^2) plus the quadrature of
@@ -250,7 +231,5 @@ def integral_log_j0sq(a: float, b: float, q: Quadrature | None = None) -> float:
     def anti(x: float) -> float:
         return (x * math.log(x) - x) * bessel_envelope(x)
 
-    rest = quad_adaptive(
-        lambda x: (np.log(x) - 2.0) * bessel_j(1, x) ** 2, a, b, q
-    )
+    rest = quad_adaptive(lambda x: (np.log(x) - 2.0) * bessel_j(1, x) ** 2, a, b)
     return anti(b) - anti(a) + rest

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import math
@@ -99,7 +100,7 @@ class TestMetrics:
         curves = [geo.get_curve("sigma1")]
         dist = harness.distance_to_curves(image.grid.points(), curves)
         expected = np.mean(dist > 0.15)
-        assert harness.sidelobe_energy(image, curves, 0.15) == pytest.approx(
+        assert harness.sidelobe_energy(image, dist, 0.15) == pytest.approx(
             expected, abs=1e-12
         )
 
@@ -112,8 +113,8 @@ class TestMetrics:
         image = img.ImageMap(
             grid=grid, values=np.ones((40, 41)), tag="MF", omegas=(12.566,)
         )
-        got = harness.sidelobe_energy(image, [line], 0.5)
         dist = harness.distance_to_curves(grid.points(), [line])
+        got = harness.sidelobe_energy(image, dist, 0.5)
         assert got == pytest.approx(np.mean(dist > 0.5), abs=1e-12)
         assert got == pytest.approx(0.5, abs=0.03)
 
@@ -126,40 +127,45 @@ class TestMetrics:
         iy = np.argmin(np.abs(grid.ys - point[1]))
         values[iy, ix] = 1.0
         image = img.ImageMap(grid=grid, values=values, tag="MF", omegas=(12.566,))
-        assert harness.sidelobe_energy(image, [curve], 0.15) == 0.0
-        assert harness.localization_error(image, [curve], 1) < 0.05
+        dist = harness.distance_to_curves(grid.points(), [curve])
+        assert harness.sidelobe_energy(image, dist, 0.15) == 0.0
+        assert harness.localization_error(image, dist, 1) < 0.05
 
     def test_localization_uniform_map_mean_distance(self):
         image = self._uniform_map()
         curves = [geo.get_curve("sigma1")]
         dist = harness.distance_to_curves(image.grid.points(), curves)
-        got = harness.localization_error(image, curves, image.values.size)
+        got = harness.localization_error(image, dist, image.values.size)
         assert got == pytest.approx(dist.mean(), abs=1e-12)
 
     @pytest.mark.parametrize("curves", [SIGMA1, SIGMA12], ids=["sigma1", "sigma1+sigma2"])
-    def test_precomputed_distance_field_gives_the_same_bits(self, curves):
+    def test_metrics_match_their_definitions(self, curves):
         grid = img.ImageGrid(nx=37, ny=29)
         values = np.random.default_rng(3).random((29, 37))
         image = img.ImageMap(grid=grid, values=values, tag="MF", omegas=(12.566,))
         dist = harness.distance_to_curves(grid.points(), curves)
-        assert harness.sidelobe_energy(image, curves, 0.15, dist=dist) == (
-            harness.sidelobe_energy(image, curves, 0.15)
+        brute = brute_force_distance(grid.points(), curves)
+        flat = values.ravel()
+        assert harness.sidelobe_energy(image, dist, 0.15) == pytest.approx(
+            flat[brute > 0.15].sum() / flat.sum(), rel=1e-12
         )
-        for k in (1, 7, values.size):
-            assert harness.localization_error(image, curves, k, dist=dist) == (
-                harness.localization_error(image, curves, k)
+        ranked = sorted(range(flat.size), key=lambda i: -flat[i])
+        for k in (1, 7, flat.size):
+            assert harness.localization_error(image, dist, k) == pytest.approx(
+                brute[ranked[:k]].mean(), rel=1e-12
             )
         with pytest.raises(ValueError, match="distance field"):
-            harness.sidelobe_energy(image, curves, 0.15, dist=dist[:-1])
+            harness.sidelobe_energy(image, dist[:-1], 0.15)
         with pytest.raises(ValueError, match="distance field"):
-            harness.localization_error(image, curves, 3, dist=dist.reshape(29, 37))
+            harness.localization_error(image, dist.reshape(29, 37), 3)
 
     def test_localization_k_bounds(self):
         image = self._uniform_map()
+        dist = harness.distance_to_curves(image.grid.points(), SIGMA1)
         with pytest.raises(ValueError):
-            harness.localization_error(image, [geo.get_curve("sigma1")], 0)
+            harness.localization_error(image, dist, 0)
         with pytest.raises(ValueError):
-            harness.localization_error(image, [geo.get_curve("sigma1")], 10**9)
+            harness.localization_error(image, dist, 10**9)
 
 
 class TestRunExperiment:
@@ -298,10 +304,12 @@ class TestConfigValidation:
             (dict(snr_db=math.nan), "snr_db"),
             (dict(snr_db=-math.inf), "snr_db"),
             (dict(seed=-1), "seed"),
+            (dict(functionals=("MF\n",)), "unknown functional"),
+            (dict(functionals=("WMF(\u0663)",)), "unknown functional"),
         ],
         ids=[
             "c-zero", "c-short", "log-band", "log-omega-one", "repeated", "repeated-sf",
-            "c-nan", "snr-nan", "snr-minus-inf", "seed",
+            "c-nan", "snr-nan", "snr-minus-inf", "seed", "trailing-newline", "non-ascii-power",
         ],
     )
     def test_rejected_before_the_run(self, overrides, match):
@@ -549,11 +557,13 @@ class TestCli:
             (["--tau", "abc"], "tau has"),
             (["--N", "4.5"], "directions has"),
             (["--config", "bad.cfg"], "bad.cfg: c takes"),
+            (["--N", "4", "--grid", "11", "--F", "1"], "M=5 must stay below N=4"),
         ],
         ids=[
             "tau", "grid", "functional", "config", "c", "log-band", "repeated-functional",
             "unknown-curve", "empty-curve", "eps", "h", "snr-nan", "grid-count", "c-count",
             "tau-malformed", "directions-malformed", "config-c-count",
+            "segments-exceed-directions",
         ],
     )
     def test_bad_config_is_a_usage_error(self, argv, names, tmp_path):
@@ -613,3 +623,21 @@ def test_benchmark_bindings_resolve():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert spans.BINDINGS and not missing
+
+
+def test_runtime_imports_only_numpy():
+    # the package runs on the standard library and numpy alone
+    allowed = set(sys.stdlib_module_names) | {"numpy", "submig"}
+    src = Path(__file__).resolve().parents[1] / "src" / "submig"
+    foreign = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert not foreign

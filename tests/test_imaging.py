@@ -26,6 +26,21 @@ def pipeline(inclusion, wavelengths, n=48, snr_db=math.inf, seed=0):
     return dirs, ks
 
 
+def multi(ks, grid, weight="MF", cfg=None, tau=0.01):
+    corr = img.subspace_correlations(ks, grid, cfg, tau)
+    return img.map_multi(corr, [k.omega for k, _ in ks], grid, weight)
+
+
+def pointwise_correlation(k, factors, grid, cfg, tau=0.01):
+    # the definition: full steering matrix, both subspace projections
+    m = spectral.effective_rank(factors, tau)
+    amps = cfg.c[0] + cfg.c[1] * k.dirs.thetas[:, 0] + cfg.c[2] * k.dirs.thetas[:, 1]
+    w = amps * np.exp(1j * k.omega * (grid.points() @ k.dirs.thetas.T)) / np.linalg.norm(amps)
+    left = w.conj() @ factors.u[:, :m]
+    right = w.conj() @ factors.v[:, :m].conj()
+    return np.sum(left * right, axis=1).reshape(grid.ny, grid.nx)
+
+
 class TestTestVector:
     def test_monopole_components(self):
         dirs = fwd.make_directions(8)
@@ -103,16 +118,6 @@ class TestMapSingle:
 
 
 class TestCorrelationKernel:
-    @staticmethod
-    def pointwise_map(k, factors, grid, cfg, tau=0.01):
-        # the definition: full steering matrix, both subspace projections
-        m = spectral.effective_rank(factors, tau)
-        amps = cfg.c[0] + cfg.c[1] * k.dirs.thetas[:, 0] + cfg.c[2] * k.dirs.thetas[:, 1]
-        w = amps * np.exp(1j * k.omega * (grid.points() @ k.dirs.thetas.T)) / np.linalg.norm(amps)
-        left = w.conj() @ factors.u[:, :m]
-        right = w.conj() @ factors.v[:, :m].conj()
-        return np.abs(np.sum(left * right, axis=1)).reshape(grid.ny, grid.nx)
-
     @pytest.mark.parametrize(
         "grid, cfg",
         [
@@ -125,7 +130,7 @@ class TestCorrelationKernel:
         inc = sigma1_inclusion()
         dirs, ks = pipeline(inc, [0.4], n=32, snr_db=10.0, seed=5)
         got = img.map_single(*ks[0], grid, cfg).values
-        want = self.pointwise_map(*ks[0], grid, cfg)
+        want = np.abs(pointwise_correlation(*ks[0], grid, cfg))
         assert np.max(np.abs(got - want)) <= 1e-13 * want.max()
 
 
@@ -135,15 +140,14 @@ class TestMapMulti:
         dirs, ks = pipeline(inc, [0.5])
         grid = img.ImageGrid(nx=31, ny=31)
         single = img.map_single(*ks[0], grid)
-        multi = img.map_multi(ks, grid, weight="MF")
-        assert np.allclose(multi.values, single.values / 1.0, atol=1e-14)
+        assert np.allclose(multi(ks, grid).values, single.values / 1.0, atol=1e-14)
 
     def test_power0_is_mf_times_f(self):
         inc = sigma1_inclusion()
         dirs, ks = pipeline(inc, np.linspace(0.5, 0.3, 3))
         grid = img.ImageGrid(nx=21, ny=21)
-        mf = img.map_multi(ks, grid, weight="MF")
-        w0 = img.map_multi(ks, grid, weight="WMF(0)")
+        mf = multi(ks, grid, "MF")
+        w0 = multi(ks, grid, "WMF(0)")
         assert np.allclose(w0.values, 3.0 * mf.values, rtol=1e-12)
         assert mf.tag == "MF" and w0.tag == "WMF(0)"
 
@@ -151,13 +155,13 @@ class TestMapMulti:
         inc = sigma1_inclusion()
         dirs, ks = pipeline(inc, np.linspace(0.5, 0.3, 3))
         grid = img.ImageGrid(nx=21, ny=21)
-        base = img.map_multi(ks, grid, weight="LOG")
+        base = multi(ks, grid, "LOG")
         phase = np.exp(0.9j)
         ks_rot = []
         for k, _ in ks:
             k2 = fwd.MsrMatrix(omega=k.omega, entries=phase * k.entries, dirs=k.dirs)
             ks_rot.append((k2, spectral.svd(k2)))
-        rot = img.map_multi(ks_rot, grid, weight="LOG")
+        rot = multi(ks_rot, grid, "LOG")
         assert np.max(np.abs(rot.values - base.values)) < 1e-9
 
     def test_grid_restriction_consistency(self):
@@ -165,54 +169,65 @@ class TestMapMulti:
         dirs, ks = pipeline(inc, [0.5, 0.4])
         full = img.ImageGrid(x_min=-1, x_max=1, y_min=-1, y_max=1, nx=21, ny=21)
         sub = img.ImageGrid(x_min=-1, x_max=0, y_min=-1, y_max=0, nx=11, ny=11)
-        out_full = img.map_multi(ks, full, weight="MF")
-        out_sub = img.map_multi(ks, sub, weight="MF")
+        out_full = multi(ks, full)
+        out_sub = multi(ks, sub)
         assert np.allclose(out_sub.values, out_full.values[:11, :11], atol=1e-12)
 
     def test_log_requires_omega_above_one(self):
-        inc = sigma1_inclusion()
-        dirs, ks = pipeline(inc, [15.0])  # omega = 2 pi / 15 < 1
+        grid = img.ImageGrid(nx=11, ny=11)
+        corr = np.zeros((1, 11, 11), dtype=complex)
         with pytest.raises(ValueError, match="omega > 1"):
-            img.map_multi(ks, img.ImageGrid(nx=11, ny=11), weight="LOG")
+            img.map_multi(corr, [2 * math.pi / 15.0], grid, "LOG")
 
     def test_mixed_direction_sets_rejected(self):
         inc = sigma1_inclusion()
         _, ks_a = pipeline(inc, [0.5], n=48)
         _, ks_b = pipeline(inc, [0.4], n=24)
         with pytest.raises(fwd.ConfigurationError):
-            img.map_multi(ks_a + ks_b, img.ImageGrid(nx=11, ny=11))
+            img.subspace_correlations(ks_a + ks_b, img.ImageGrid(nx=11, ny=11))
 
     def test_unknown_weight(self):
-        inc = sigma1_inclusion()
-        dirs, ks = pipeline(inc, [0.5])
-        # the run's tags are the only vocabulary: the old weight names are unknown
-        for weight in ("cubic", "one", "power(0)", "log", "WMF()", "WMF(-1)", "SF"):
+        grid = img.ImageGrid(nx=11, ny=11)
+        corr = np.zeros((1, 11, 11), dtype=complex)
+        # the run's tags are the only vocabulary: the old weight names are unknown,
+        # and so are a trailing newline and a non-ASCII digit
+        bad = ("cubic", "one", "power(0)", "log", "WMF()", "WMF(-1)", "SF", "MF\n",
+               "WMF(1)\n", "WMF(\u0663)")
+        for weight in bad:
             with pytest.raises(ValueError, match="unknown weight"):
-                img.map_multi(ks, img.ImageGrid(nx=11, ny=11), weight=weight)
+                img.map_multi(corr, [OMEGA_05], grid, weight)
 
     @pytest.mark.parametrize("weight", ["MF", "WMF(1)", "LOG"])
-    def test_shared_correlations_bitwise_equal(self, weight):
+    def test_matches_weighted_pointwise_sum(self, weight):
         inc = sigma1_inclusion()
         dirs, ks = pipeline(inc, np.linspace(0.5, 0.3, 3), snr_db=10.0, seed=2)
         grid = img.ImageGrid(nx=23, ny=19)
         cfg = img.SteeringConfig(c=(1, 1, 0))
         corr = img.subspace_correlations(ks, grid, cfg, 0.05)
         assert corr.shape == (3, 19, 23)
-        shared = img.map_multi(ks, grid, cfg, 0.05, weight, correlations=corr)
-        own = img.map_multi(ks, grid, cfg, 0.05, weight)
-        assert np.array_equal(shared.values, own.values)
-        assert (shared.tag, shared.omegas) == (own.tag, own.omegas)
+        omegas = [k.omega for k, _ in ks]
+        got = img.map_multi(corr, omegas, grid, weight)
+        xi = {"MF": np.full(3, 1.0 / 3.0), "WMF(1)": np.array(omegas), "LOG": np.log(omegas)}
+        want = np.abs(sum(
+            x * pointwise_correlation(k, f, grid, cfg, 0.05)
+            for x, (k, f) in zip(xi[weight], ks)
+        ))
+        assert np.max(np.abs(got.values - want)) <= 1e-13 * want.max()
+        assert (got.tag, got.omegas) == (weight, tuple(omegas))
 
     def test_mismatched_correlations_rejected(self):
         inc = sigma1_inclusion()
         dirs, ks = pipeline(inc, [0.5, 0.4])
         grid = img.ImageGrid(nx=11, ny=13)
         corr = img.subspace_correlations(ks, grid)
+        omegas = [k.omega for k, _ in ks]
         for bad in (corr[:1], corr[:, :, :10], corr.transpose(0, 2, 1), corr[0]):
             with pytest.raises(ValueError, match="correlations"):
-                img.map_multi(ks, grid, correlations=bad)
+                img.map_multi(bad, omegas, grid)
         with pytest.raises(ValueError, match="correlations"):
-            img.map_multi([], grid, correlations=corr[:0])
+            img.map_multi(corr, omegas[:1], grid)
+        with pytest.raises(ValueError, match="correlations"):
+            img.map_multi(corr[:0], [], grid)
 
     def test_correlations_validate_like_the_maps(self):
         inc = sigma1_inclusion()

@@ -119,18 +119,10 @@ class TestQuadAdaptive:
             sf.quad_adaptive(np.sin, 1.0, 0.0)
 
     def test_convergence_error_carries_estimate(self):
-        q = sf.Quadrature(abs_tol=1e-15, rel_tol=1e-15, max_depth=10)
+        # a jump off every dyadic point: its interval never meets the tolerance
         with pytest.raises(sf.ConvergenceError) as exc:
-            sf.quad_adaptive(lambda x: np.sqrt(np.abs(x)), 0.0, 1.0, q)
-        assert exc.value.estimate == pytest.approx(2.0 / 3.0, abs=1e-3)
-
-    def test_quadrature_validation(self):
-        with pytest.raises(ValueError):
-            sf.Quadrature(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            sf.Quadrature(rel_tol=-1.0)
-        with pytest.raises(ValueError):
-            sf.Quadrature(max_depth=5)
+            sf.quad_adaptive(lambda x: np.sign(x - 1.0 / 3.0), 0.0, 1.0)
+        assert exc.value.estimate == pytest.approx(1.0 / 3.0, abs=1e-9)
 
     @given(st.floats(0.1, 3.0), st.floats(0.0, 4.0))
     @settings(max_examples=25, deadline=None)
