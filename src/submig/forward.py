@@ -213,8 +213,10 @@ def save_msr(k: MsrMatrix, path) -> None:
         f"# snr_db {'none' if k.snr_db is None else format(k.snr_db, '.17g')}",
         f"# seed {'none' if k.seed is None else k.seed}",
     ]
-    for row in k.entries:
-        lines.append(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row))
+    # one % operation per row; %.17g and format(v, ".17g") print the same digits
+    row_format = " ".join(["%.17g"] * (2 * n))
+    rows = np.ascontiguousarray(k.entries).view(float).tolist()
+    lines.extend(row_format % tuple(row) for row in rows)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -213,7 +213,10 @@ def _weights(tag: str, omegas: list[float]) -> np.ndarray:
             )
         return np.log(omegas)
     power = tag[4:-1]
-    if tag.startswith("WMF(") and tag.endswith(")") and power.isascii() and power.isdecimal():
+    # canonical powers only, so that each WMF tag names one functional
+    if tag.startswith("WMF(") and tag.endswith(")") and power.isdecimal() and (
+        power == str(int(power))
+    ):
         return np.asarray(omegas, dtype=float) ** int(power)
     raise ValueError(f"unknown weight {tag!r}; expected MF, WMF(n), or LOG")
 

@@ -128,11 +128,12 @@ def _eval_integrand(f, x: np.ndarray) -> np.ndarray:
 def quad_adaptive(f, a: float, b: float) -> float:
     """Adaptive Simpson integral of f over [a, b].
 
-    f is evaluated on ndarrays of abscissae (scalar-constant returns are
-    broadcast).  The tolerance on [a, b] is max(1e-10, 1e-10 |S|), S the
-    first Simpson estimate, and it halves with each split; an interval stops
-    once its Richardson error estimate is within its share.  40 levels
-    without convergence raise ConvergenceError carrying the best estimate.
+    f is evaluated on ndarrays of abscissae, once per refinement level
+    (scalar-constant returns are broadcast).  The tolerance on [a, b] is
+    max(1e-10, 1e-10 |S|), S the first Simpson estimate, and it halves with
+    each split; an interval stops once its Richardson error estimate is
+    within its share.  40 levels without convergence raise ConvergenceError
+    carrying the best estimate.
     """
     a = float(a)
     b = float(b)
@@ -155,10 +156,10 @@ def quad_adaptive(f, a: float, b: float) -> float:
 
     done: list[float] = []
     for _ in range(_MAX_DEPTH):
-        m1 = left + 0.25 * h
-        m2 = left + 0.75 * h
-        f1 = _eval_integrand(f, m1)
-        f2 = _eval_integrand(f, m2)
+        # both new midpoints of every active interval in one integrand call
+        f1, f2 = np.split(
+            _eval_integrand(f, np.concatenate([left + 0.25 * h, left + 0.75 * h])), 2
+        )
         s_left = h / 12.0 * (fa + 4.0 * f1 + fm)
         s_right = h / 12.0 * (fm + 4.0 * f2 + fb)
         s2 = s_left + s_right

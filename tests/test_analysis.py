@@ -1,10 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from submig import analysis as ana
-from submig.specfun import bessel_j
+from submig.specfun import bessel_j, quad_adaptive
 from conftest import composite_simpson
 
 # experiment band: wavelengths 0.5 down to 0.3, ten frequencies
@@ -158,6 +159,57 @@ class TestBatchPoints:
 
     def test_scalar_path_returns_float(self):
         assert isinstance(ana.analytic_log((0.3, 0.1), single_scatterer(), BAND), float)
+
+
+class TestFusedScattererSum:
+    """The scatterer sum is integrated as one function per search point."""
+
+    SCAT = ana.ScattererSet(points=np.array([[0.0, 0.0], [0.5, 0.3], [-0.4, -0.2]]))
+    Z = (1.2, 0.9)
+    R = np.hypot(*(np.asarray(Z) - SCAT.points).T)
+    FUNCTIONALS = {
+        "mf": (ana.analytic_mf, lambda w: 1),
+        "wmf2": (lambda z, scat, band: ana.analytic_wmf(z, scat, band, n=2), lambda w: w**2),
+        "log": (ana.analytic_log, mp.log),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FUNCTIONALS))
+    def test_matches_mpmath_sum(self, name):
+        func, weight = self.FUNCTIONALS[name]
+        assert BAND.omega_f * self.R.max() > 30.0  # arguments reach the midpoint-rule range
+        radii = [mp.mpf(float(r)) for r in self.R]
+        with mp.workdps(25):
+            a, b = mp.mpf(BAND.omega1), mp.mpf(BAND.omega_f)
+            integral = mp.quad(
+                lambda w: weight(w) * sum(mp.besselj(0, w * r) ** 2 for r in radii),
+                mp.linspace(a, b, 9),
+            )
+            want = float(BAND.count / (b - a) * integral)
+        assert func(self.Z, self.SCAT, BAND) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("name", sorted(FUNCTIONALS))
+    def test_additive_over_scatterers(self, name):
+        func, _ = self.FUNCTIONALS[name]
+        a, b = (ana.ScattererSet(points=p) for p in ([[0.5, 0.3]], [[-0.4, -0.2]]))
+        both = ana.ScattererSet(points=np.array([[0.5, 0.3], [-0.4, -0.2]]))
+        want = func(self.Z, a, BAND) + func(self.Z, b, BAND)
+        assert func(self.Z, both, BAND) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "name, calls",
+        [("mf", 1), ("wmf1", 0), ("wmf2", 1), ("log", 1)],
+    )
+    def test_one_quadrature_per_point(self, monkeypatch, name, calls):
+        func = TestBatchPoints.FUNCTIONALS[name]
+        seen = []
+
+        def counting(f, a, b):
+            seen.append((a, b))
+            return quad_adaptive(f, a, b)
+
+        monkeypatch.setattr(ana, "quad_adaptive", counting)
+        func(self.Z, self.SCAT, BAND)
+        assert len(seen) == calls
 
 
 class TestE1E2:

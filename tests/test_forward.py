@@ -263,6 +263,21 @@ class TestSerialization:
         assert back.snr_db == 10.0
         assert back.seed == 7
 
+    def test_rows_match_per_entry_formatting(self, tmp_path):
+        n = 4
+        rng = np.random.default_rng(3)
+        entries = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        entries[0, :3] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(0.1, -1.0 / 3.0)]
+        entries[1, 0] = complex(123456789.01234567, -9.8765432109876543e-300)
+        # column-major entries: the writer must not depend on the memory layout
+        k = fwd.MsrMatrix(2.0, np.asfortranarray(entries), fwd.make_directions(n))
+        path = tmp_path / "msr.txt"
+        fwd.save_msr(k, path)
+        rows = path.read_text().splitlines()[6:]
+        want = [" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row) for row in entries]
+        assert rows == want
+        assert rows[0].split()[:4] == ["-0", "0", "0", "-0"]
+
     def test_header_versioned(self, tmp_path):
         k = fwd.assemble_msr(fwd.make_directions(8), 2 * math.pi / 0.5, sigma1_inclusion())
         path = tmp_path / "msr.txt"

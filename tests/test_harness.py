@@ -306,10 +306,14 @@ class TestConfigValidation:
             (dict(seed=-1), "seed"),
             (dict(functionals=("MF\n",)), "unknown functional"),
             (dict(functionals=("WMF(\u0663)",)), "unknown functional"),
+            # WMF(01) would name WMF(1) a second time under another tag
+            (dict(functionals=("WMF(1)", "WMF(01)")), "unknown functional tag 'WMF\\(01\\)'"),
+            (dict(functionals=("WMF(00)",)), "unknown functional"),
         ],
         ids=[
             "c-zero", "c-short", "log-band", "log-omega-one", "repeated", "repeated-sf",
             "c-nan", "snr-nan", "snr-minus-inf", "seed", "trailing-newline", "non-ascii-power",
+            "leading-zero-power", "zero-power-padded",
         ],
     )
     def test_rejected_before_the_run(self, overrides, match):
@@ -339,6 +343,7 @@ class TestConfigValidation:
         small_config(tau=0.999)
         small_config(functionals=("MF",), lambda_max=7.0, lambda_min=6.0)
         small_config(functionals=("LOG",), lambda_max=6.0, lambda_min=5.0)
+        small_config(functionals=("WMF(0)", "WMF(10)"))
         for name in harness.PRESETS:
             harness.preset_config(name)
 
@@ -558,12 +563,13 @@ class TestCli:
             (["--N", "4.5"], "directions has"),
             (["--config", "bad.cfg"], "bad.cfg: c takes"),
             (["--N", "4", "--grid", "11", "--F", "1"], "M=5 must stay below N=4"),
+            (["--functional", "WMF(1)", "--functional", "WMF(01)"], "WMF(01)"),
         ],
         ids=[
             "tau", "grid", "functional", "config", "c", "log-band", "repeated-functional",
             "unknown-curve", "empty-curve", "eps", "h", "snr-nan", "grid-count", "c-count",
             "tau-malformed", "directions-malformed", "config-c-count",
-            "segments-exceed-directions",
+            "segments-exceed-directions", "non-canonical-power",
         ],
     )
     def test_bad_config_is_a_usage_error(self, argv, names, tmp_path):

@@ -190,9 +190,9 @@ class TestMapMulti:
         grid = img.ImageGrid(nx=11, ny=11)
         corr = np.zeros((1, 11, 11), dtype=complex)
         # the run's tags are the only vocabulary: the old weight names are unknown,
-        # and so are a trailing newline and a non-ASCII digit
+        # and so are a trailing newline, a non-ASCII digit and a padded power
         bad = ("cubic", "one", "power(0)", "log", "WMF()", "WMF(-1)", "SF", "MF\n",
-               "WMF(1)\n", "WMF(\u0663)")
+               "WMF(1)\n", "WMF(\u0663)", "WMF(01)", "WMF(00)")
         for weight in bad:
             with pytest.raises(ValueError, match="unknown weight"):
                 img.map_multi(corr, [OMEGA_05], grid, weight)

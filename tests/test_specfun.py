@@ -111,6 +111,19 @@ class TestQuadAdaptive:
         assert direct == pytest.approx(rhs, abs=1e-8)
         assert direct == pytest.approx(INT_J0SQ_0_10, abs=1e-9)
 
+    def test_one_integrand_call_per_level(self):
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.sin(x)
+
+        assert sf.quad_adaptive(f, 0.0, math.pi) == pytest.approx(2.0, abs=1e-10)
+        # three points first, then both new midpoints of every active interval
+        assert sizes[:2] == [3, 2]
+        assert all(size % 2 == 0 for size in sizes[1:])
+        assert all(b <= 2 * a for a, b in zip(sizes[1:], sizes[2:]))
+
     def test_empty_interval(self):
         assert sf.quad_adaptive(np.sin, 1.3, 1.3) == 0.0
 
