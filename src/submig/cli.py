@@ -10,11 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .forward import ConfigurationError
 from .harness import (
     PRESETS,
     ExperimentConfig,
-    ExperimentError,
     apply_settings,
     load_config,
     preset_config,
@@ -83,19 +81,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.list_presets:
         for name in sorted(PRESETS):
-            print(f"{name}: {PRESETS[name].summary()}")
+            print(f"{name}: {preset_config(name).summary()}")
         return 0
     try:
         cfg = config_from_args(args)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))  # exits with status 2
-    try:
-        report = run_experiment(cfg)
-    except ExperimentError as exc:
-        # M < N needs the curve lengths, so only the run can check it
-        if isinstance(exc.__cause__, ConfigurationError):
-            parser.error(str(exc))
-        raise
+    report = run_experiment(cfg)
     print(f"config {report.config_hash[:12]} seed {cfg.seed}")
     print(f"effective ranks per frequency: {list(report.m_eff)}")
     for tag in cfg.functionals:

@@ -158,6 +158,17 @@ def assemble_msr(dirs: DirectionSet, omega: float, inclusion: ThinInclusion) -> 
     return MsrMatrix(omega=omega, entries=k, dirs=dirs)
 
 
+def _noise_factor(snr_db: float) -> float:
+    """Noise-to-signal power ratio 10^(-snr_db/10); 0 for snr_db = +inf (no noise)."""
+    try:
+        factor = 10.0 ** (-snr_db / 10.0)
+    except OverflowError:  # an SNR so low that the factor overflows
+        factor = math.inf
+    if not factor < math.inf:  # also NaN and -inf
+        raise ValueError(f"snr_db must be inf or give a finite 10^(-snr_db/10), got {snr_db}")
+    return factor
+
+
 def add_awgn(k: MsrMatrix, snr_db: float, seed: int) -> MsrMatrix:
     """Additive circularly-symmetric complex Gaussian noise at a target SNR.
 
@@ -166,15 +177,14 @@ def add_awgn(k: MsrMatrix, snr_db: float, seed: int) -> MsrMatrix:
     for a given integer seed.
     """
     snr_db = float(snr_db)
-    if math.isnan(snr_db) or snr_db == -math.inf:
-        raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
+    factor = _noise_factor(snr_db)
     if snr_db == math.inf:
         return replace(k)
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     n = k.dirs.count
     signal_power = float(np.mean(np.abs(k.entries) ** 2))
-    sigma = math.sqrt(signal_power * 10.0 ** (-snr_db / 10.0) / 2.0)
+    sigma = math.sqrt(signal_power * factor / 2.0)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
     noise = sigma * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     return MsrMatrix(

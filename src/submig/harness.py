@@ -6,8 +6,8 @@ requested imaging functionals, and scores each map against the true curves
 by sidelobe energy and localization error.  The multi-frequency functionals
 combine one pass of per-frequency subspace correlations, and every map is
 scored against one distance field of the grid.  A configuration that cannot
-run is rejected when it is built, except M >= N, which the run finds first.
-All outputs are deterministic for a fixed configuration and seed.
+run is rejected when it is built.  All outputs are deterministic for a fixed
+configuration and seed.
 """
 
 from __future__ import annotations
@@ -22,8 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from .forward import (
+    ConfigurationError,
     FrequencySet,
     MsrMatrix,
+    _noise_factor,
     add_awgn,
     assemble_msr,
     derive_stream_seed,
@@ -47,7 +49,7 @@ from .imaging import (
     save_map_pgm,
     subspace_correlations,
 )
-from .spectral import effective_rank, svd, save_spectrum_csv
+from .spectral import DEFAULT_RANK_THRESHOLD, effective_rank, svd, save_spectrum_csv
 
 __all__ = [
     "ExperimentError",
@@ -69,6 +71,10 @@ class ExperimentError(RuntimeError):
     """A module error raised during a run, annotated with config context."""
 
 
+def _curve_name(spec: InclusionSpec) -> str:
+    return spec.curve if isinstance(spec.curve, str) else "custom"
+
+
 @dataclass(frozen=True)
 class InclusionSpec:
     """One thin inclusion: catalog curve name (or curve object) and materials."""
@@ -80,10 +86,12 @@ class InclusionSpec:
 
     def __post_init__(self):
         # ThinInclusion's rules against its unit background, named by the config keys
-        if not self.h > 0.0:
-            raise ValueError(f"h must be positive, got {self.h}")
-        if not (self.eps >= 1.0 and self.mu >= 1.0):
-            raise ValueError(f"eps and mu must be at least 1, got eps={self.eps}, mu={self.mu}")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError(f"h must be positive and finite, got {self.h}")
+        if not (1.0 <= self.eps < math.inf and 1.0 <= self.mu < math.inf):
+            raise ValueError(f"eps and mu must lie in [1, inf), got eps={self.eps}, mu={self.mu}")
+        if self.eps == self.mu == 1.0:
+            raise ValueError("eps = mu = 1 matches the background, so nothing scatters")
         self.resolve()  # an unknown curve name raises here
 
     def resolve(self) -> ThinInclusion:
@@ -107,7 +115,7 @@ class ExperimentConfig:
     seed: int = 0
     functionals: tuple[str, ...] = ("MF", "WMF(1)", "LOG")
     grid: ImageGrid = field(default_factory=ImageGrid)
-    tau: float = 0.01
+    tau: float = DEFAULT_RANK_THRESHOLD
     c: tuple[float, float, float] = (1.0, 0.0, 1.0)
     out_dir: str | None = None
 
@@ -128,20 +136,16 @@ class ExperimentConfig:
         # functions apply, checked before any work starts
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
-        if self.directions < 2:
-            raise ValueError(f"need at least 2 directions, got {self.directions}")
-        if self.frequencies < 1:
-            raise ValueError(f"need at least 1 frequency, got {self.frequencies}")
-        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
-            raise ValueError(f"snr_db must be a number or inf (no noise), got {self.snr_db}")
+        make_directions(self.directions)  # raises below 2 directions
+        _noise_factor(self.snr_db)  # add_awgn's rule
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         # strictly descending wavelengths when there is more than one
-        if not 0.0 < self.lambda_min <= self.lambda_max or (
+        if not 0.0 < self.lambda_min <= self.lambda_max < math.inf or (
             self.frequencies > 1 and self.lambda_min == self.lambda_max
         ):
             raise ValueError(
-                f"need 0 < lambda_min <= lambda_max (< for F > 1), got lambda_min="
+                f"need 0 < lambda_min <= lambda_max < inf (< for F > 1), got lambda_min="
                 f"{self.lambda_min}, lambda_max={self.lambda_max}, F={self.frequencies}"
             )
         SteeringConfig(c=self.c)  # raises unless c is a nonzero 3-vector
@@ -151,12 +155,19 @@ class ExperimentConfig:
                 f"LOG needs omega > 1 at every frequency, i.e. lambda_max < 2 pi, "
                 f"got lambda_max={self.lambda_max}"
             )
+        # raises below 1 frequency; assemble_msr's rule M < N at the run's finest wavelength
+        freqs = FrequencySet.from_band(self.lambda_max, self.lambda_min, self.frequencies)
+        wavelength = float(freqs.wavelengths[-1])
+        for spec in self.inclusions:
+            m = effective_segment_count(spec.resolve().curve, wavelength)
+            if m >= self.directions:
+                raise ConfigurationError(
+                    f"effective segment count M={m} must stay below N={self.directions} "
+                    f"directions ({_curve_name(spec)} at wavelength {wavelength})"
+                )
 
     def summary(self) -> str:
-        curves = ",".join(
-            spec.curve if isinstance(spec.curve, str) else "custom"
-            for spec in self.inclusions
-        )
+        curves = ",".join(_curve_name(spec) for spec in self.inclusions)
         return (
             f"curves={curves} N={self.directions} F={self.frequencies} "
             f"lambda={self.lambda_max}..{self.lambda_min} snr_db={self.snr_db} "
@@ -177,31 +188,20 @@ class ExperimentReport:
     out_dir: str | None
 
 
-PRESETS: dict[str, ExperimentConfig] = {
-    "fig1": ExperimentConfig(inclusions=(InclusionSpec(curve="sigma1"),)),
-    "fig2": ExperimentConfig(inclusions=(InclusionSpec(curve="sigma2"),)),
-    "fig3": ExperimentConfig(
-        inclusions=(InclusionSpec(curve="sigma1"), InclusionSpec(curve="sigma2"))
-    ),
-    "fig4": ExperimentConfig(
-        inclusions=(
-            InclusionSpec(curve="sigma1"),
-            InclusionSpec(curve="sigma2", eps=10.0, mu=10.0),
-        )
-    ),
+# raw settings over the defaults, spelled as in a config file
+PRESETS: dict[str, dict[str, str]] = {
+    "fig1": {},
+    "fig2": {"curves": "sigma2"},
+    "fig3": {"curves": "sigma1,sigma2"},
+    "fig4": {"curves": "sigma1,sigma2", "eps": "5,10", "mu": "5,10"},
 }
 
 
 def preset_config(name: str, out_dir: str | None = None, seed: int | None = None) -> ExperimentConfig:
-    try:
-        cfg = PRESETS[name]
-    except KeyError:
-        raise ValueError(f"unknown preset {name!r}; available: {sorted(PRESETS)}") from None
-    if out_dir is not None:
-        cfg = replace(cfg, out_dir=out_dir)
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    return cfg
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
+    settings = PRESETS[name] if seed is None else {**PRESETS[name], "seed": str(seed)}
+    return apply_settings(ExperimentConfig(out_dir=out_dir), settings, f"preset {name}")
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +334,7 @@ def load_config(path, out_dir: str | None = None) -> ExperimentConfig:
 def _config_hash(cfg: ExperimentConfig) -> str:
     # hash over the experiment definition; the output directory is excluded
     parts = [
-        ",".join(
-            f"{spec.curve if isinstance(spec.curve, str) else 'custom'}"
-            f":{spec.h!r}:{spec.eps!r}:{spec.mu!r}"
-            for spec in cfg.inclusions
-        ),
+        ",".join(f"{_curve_name(s)}:{s.h!r}:{s.eps!r}:{s.mu!r}" for s in cfg.inclusions),
         str(cfg.directions),
         str(cfg.frequencies),
         repr(cfg.lambda_max),
@@ -490,10 +486,9 @@ def _run(cfg: ExperimentConfig) -> ExperimentReport:
     del correlations
 
     dist = distance_to_curves(cfg.grid.points(), [inc.curve for inc in inclusions])
-    tube = cfg.lambda_min / 2.0
-    k_peaks = sum(
-        effective_segment_count(inc.curve, cfg.lambda_min) for inc in inclusions
-    )
+    wavelength = float(freqs.wavelengths[-1])  # lambda_max alone for F = 1
+    tube = wavelength / 2.0
+    k_peaks = sum(effective_segment_count(inc.curve, wavelength) for inc in inclusions)
     metrics: dict[str, dict[str, float]] = {}
     for tag, image in maps.items():
         peak_flat = int(np.argmax(image.values))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import ConfigurationError, DirectionSet, MsrMatrix
-from .spectral import SvdFactors, effective_rank
+from .spectral import DEFAULT_RANK_THRESHOLD, SvdFactors, effective_rank
 
 __all__ = [
     "DegenerateSteeringError",
@@ -172,7 +172,7 @@ def map_single(
     factors: SvdFactors,
     grid: ImageGrid,
     cfg: SteeringConfig | None = None,
-    tau: float = 0.01,
+    tau: float = DEFAULT_RANK_THRESHOLD,
 ) -> ImageMap:
     """Single-frequency subspace migration map."""
     values = np.abs(subspace_correlations([(k, factors)], grid, cfg, tau)[0])
@@ -183,7 +183,7 @@ def subspace_correlations(
     ks: list[tuple[MsrMatrix, SvdFactors]],
     grid: ImageGrid,
     cfg: SteeringConfig | None = None,
-    tau: float = 0.01,
+    tau: float = DEFAULT_RANK_THRESHOLD,
 ) -> np.ndarray:
     """Every frequency's subspace correlation c_f on the grid, as (F, ny, nx)."""
     if cfg is None:

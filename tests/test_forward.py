@@ -239,6 +239,15 @@ class TestAddAwgn:
         with pytest.raises(ValueError):
             fwd.add_awgn(k, -math.inf, 0)
 
+    def test_overflowing_noise_factor_is_a_value_error(self):
+        # 10^(-snr_db/10) overflows a double below about -3082.5 dB
+        k = self._clean()
+        with pytest.raises(ValueError, match="snr_db"):
+            fwd.add_awgn(k, -4000.0, 0)
+        with pytest.raises(ValueError, match="snr_db"):
+            fwd.add_awgn(k, -3083.0, 0)
+        assert np.all(np.isfinite(fwd.add_awgn(k, -3000.0, 0).entries))
+
     def test_stream_seed_derivation(self):
         a = fwd.derive_stream_seed(0, 0)
         b = fwd.derive_stream_seed(0, 1)

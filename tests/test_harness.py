@@ -16,7 +16,7 @@ from submig import forward as fwd
 from submig import geometry as geo
 from submig import harness
 from submig import imaging as img
-from submig.cli import build_parser, config_from_args
+from submig.cli import build_parser, config_from_args, main
 
 
 def small_config(**overrides):
@@ -192,14 +192,35 @@ class TestRunExperiment:
         ):
             assert (out / name).exists(), name
 
-    def test_zero_contrast_raises_with_context(self):
-        cfg = small_config(
-            inclusions=(harness.InclusionSpec(curve="sigma1", eps=1.0, mu=1.0),)
-        )
+    def test_run_errors_gain_the_config_context(self, monkeypatch):
+        # every config that constructs runs, so the failure is injected
+        def failing_svd(matrix):
+            raise ValueError("injected failure")
+
+        monkeypatch.setattr(harness, "svd", failing_svd)
         with pytest.raises(harness.ExperimentError) as exc:
-            harness.run_experiment(cfg)
-        assert isinstance(exc.value.__cause__, img.EmptySubspaceError)
-        assert "curves=sigma1" in str(exc.value)
+            harness.run_experiment(small_config())
+        assert isinstance(exc.value.__cause__, ValueError)
+        assert str(exc.value.__cause__) == "injected failure"
+        assert "curves=sigma1" in str(exc.value) and "injected failure" in str(exc.value)
+
+    def test_single_frequency_metrics_use_the_imaged_wavelength(self):
+        # F = 1 images at lambda_max alone, so lambda_min changes nothing in the run
+        reports = [
+            harness.run_experiment(
+                replace(
+                    harness.preset_config("fig1"),
+                    frequencies=1,
+                    lambda_min=lambda_min,
+                    grid=img.ImageGrid(nx=41, ny=41),
+                )
+            )
+            for lambda_min in (0.3, 0.5)
+        ]
+        assert reports[0].omegas == reports[1].omegas
+        for tag in reports[0].maps:
+            assert np.array_equal(reports[0].maps[tag].values, reports[1].maps[tag].values)
+        assert reports[0].metrics == reports[1].metrics
 
     def test_multi_inclusion_linearity(self):
         # union MSR equals the entrywise sum of the single-inclusion MSRs
@@ -285,7 +306,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "lambda_max, lambda_min",
-        [(0.5, 0.0), (0.5, -0.3), (0.3, 0.5), (0.5, 0.5), (math.nan, 0.3)],
+        [(0.5, 0.0), (0.5, -0.3), (0.3, 0.5), (0.5, 0.5), (math.nan, 0.3), (math.inf, 0.3)],
     )
     def test_wavelength_band(self, lambda_max, lambda_min):
         with pytest.raises(ValueError, match="lambda_min"):
@@ -303,6 +324,7 @@ class TestConfigValidation:
             (dict(c=(math.nan, 0.0, 1.0)), "steering vector c"),
             (dict(snr_db=math.nan), "snr_db"),
             (dict(snr_db=-math.inf), "snr_db"),
+            (dict(snr_db=-4000.0), "snr_db"),
             (dict(seed=-1), "seed"),
             (dict(functionals=("MF\n",)), "unknown functional"),
             (dict(functionals=("WMF(\u0663)",)), "unknown functional"),
@@ -312,8 +334,8 @@ class TestConfigValidation:
         ],
         ids=[
             "c-zero", "c-short", "log-band", "log-omega-one", "repeated", "repeated-sf",
-            "c-nan", "snr-nan", "snr-minus-inf", "seed", "trailing-newline", "non-ascii-power",
-            "leading-zero-power", "zero-power-padded",
+            "c-nan", "snr-nan", "snr-minus-inf", "snr-overflow", "seed", "trailing-newline",
+            "non-ascii-power", "leading-zero-power", "zero-power-padded",
         ],
     )
     def test_rejected_before_the_run(self, overrides, match):
@@ -329,16 +351,42 @@ class TestConfigValidation:
             (dict(curve="sigma1", h=math.nan), "h must be positive"),
             (dict(curve="sigma1", eps=0.5), "eps=0.5"),
             (dict(curve="sigma1", mu=0.99), "mu=0.99"),
+            (dict(curve="sigma1", h=math.inf), "h must be positive and finite"),
+            (dict(curve="sigma1", eps=math.inf), "eps=inf"),
+            (dict(curve="sigma1", mu=math.inf), "mu=inf"),
+            # zero contrast: the inclusion matches the background and scatters nothing
+            (dict(curve="sigma1", eps=1.0, mu=1.0), "eps = mu = 1"),
         ],
-        ids=["curve", "curve-empty", "h", "h-nan", "eps", "mu"],
+        ids=["curve", "curve-empty", "h", "h-nan", "eps", "mu", "h-inf", "eps-inf", "mu-inf",
+             "zero-contrast"],
     )
     def test_inclusion_rejected_when_built(self, spec, match):
         with pytest.raises(ValueError, match=match):
             harness.InclusionSpec(**spec)
 
+    @pytest.mark.parametrize(
+        "band, curves, m",
+        [
+            # F = 1 runs at lambda_max alone, F > 1 down to lambda_min
+            (dict(frequencies=1, lambda_max=0.5, lambda_min=0.3), ("sigma1",), 5),
+            (dict(frequencies=2, lambda_max=0.5, lambda_min=0.4), ("sigma1",), 6),
+            # the longer curve sets the bound: M = 7 for sigma1, 8 for sigma2
+            (dict(frequencies=10, lambda_max=0.5, lambda_min=0.3), ("sigma1", "sigma2"), 8),
+        ],
+        ids=["F1", "F2", "two-curves"],
+    )
+    def test_segment_count_below_directions(self, band, curves, m):
+        # the resolution rule M < N, checked when the config is built
+        inclusions = tuple(harness.InclusionSpec(curve=name) for name in curves)
+        with pytest.raises(fwd.ConfigurationError, match=f"M={m} must stay below N={m} ") as exc:
+            small_config(inclusions=inclusions, directions=m, **band)
+        assert f"({curves[-1]} at wavelength " in str(exc.value)
+        assert small_config(inclusions=inclusions, directions=m + 1, **band).directions == m + 1
+
     def test_valid_edges_accepted(self):
         # the smallest configurations the pipeline accepts stay valid
-        small_config(directions=2, tau=1e-9)
+        small_config(directions=7, tau=1e-9)  # sigma1 has M = 6 at lambda = 0.4
+        small_config(snr_db=-3000.0)  # a noise factor of 1e300 is still finite
         small_config(frequencies=1, lambda_max=0.5, lambda_min=0.5)
         small_config(tau=0.999)
         small_config(functionals=("MF",), lambda_max=7.0, lambda_min=6.0)
@@ -374,6 +422,18 @@ class TestConfigFiles:
 
     def test_presets_cover_figures(self):
         assert set(harness.PRESETS) == {"fig1", "fig2", "fig3", "fig4"}
+        sigma1, sigma2 = (harness.InclusionSpec(curve=name) for name in ("sigma1", "sigma2"))
+        inclusions = {
+            "fig1": (sigma1,),
+            "fig2": (sigma2,),
+            "fig3": (sigma1, sigma2),
+            "fig4": (sigma1, replace(sigma2, eps=10.0, mu=10.0)),
+        }
+        for name, expected in inclusions.items():
+            assert harness.preset_config(name) == harness.ExperimentConfig(inclusions=expected)
+        assert harness.preset_config("fig4", out_dir="run", seed=3) == harness.ExperimentConfig(
+            inclusions=inclusions["fig4"], out_dir="run", seed=3
+        )
         fig4 = harness.preset_config("fig4")
         assert fig4.inclusions[0].eps == 5.0
         assert fig4.inclusions[1].eps == 10.0
@@ -451,7 +511,9 @@ TWO_CURVES = harness.ExperimentConfig(
 
 class TestOneParser:
     @pytest.mark.parametrize(
-        "cfg", [*harness.PRESETS.values(), TWO_CURVES], ids=[*harness.PRESETS, "two-curves"]
+        "cfg",
+        [*(harness.preset_config(name) for name in harness.PRESETS), TWO_CURVES],
+        ids=[*harness.PRESETS, "two-curves"],
     )
     def test_flags_and_file_give_the_same_config(self, tmp_path, cfg):
         path = tmp_path / "cfg.txt"
@@ -564,12 +626,19 @@ class TestCli:
             (["--config", "bad.cfg"], "bad.cfg: c takes"),
             (["--N", "4", "--grid", "11", "--F", "1"], "M=5 must stay below N=4"),
             (["--functional", "WMF(1)", "--functional", "WMF(01)"], "WMF(01)"),
+            (["--eps", "1", "--mu", "1"], "eps = mu = 1"),
+            (["--h", "inf"], "h must"),
+            (["--eps", "inf"], "eps=inf"),
+            (["--mu", "inf"], "mu=inf"),
+            (["--snr-db", "-4000"], "snr_db"),
+            (["--preset", "fig1", "--N", "7"], "M=7 must stay below N=7 directions"),
         ],
         ids=[
             "tau", "grid", "functional", "config", "c", "log-band", "repeated-functional",
             "unknown-curve", "empty-curve", "eps", "h", "snr-nan", "grid-count", "c-count",
             "tau-malformed", "directions-malformed", "config-c-count",
-            "segments-exceed-directions", "non-canonical-power",
+            "segments-exceed-directions", "non-canonical-power", "zero-contrast", "h-inf",
+            "eps-inf", "mu-inf", "snr-overflow", "preset-segments-exceed-directions",
         ],
     )
     def test_bad_config_is_a_usage_error(self, argv, names, tmp_path):
@@ -588,6 +657,40 @@ class TestCli:
         assert error.startswith("submig: error: ") and names in error
         assert proc.stderr.count("submig: error: ") == 1
         assert not (tmp_path / "out").exists()
+
+
+def test_list_presets_output(capsys):
+    # the presets are built on demand; the listing is pinned byte for byte
+    assert main(["--list-presets"]) == 0
+    assert capsys.readouterr().out == (
+        "fig1: curves=sigma1 N=48 F=10 lambda=0.5..0.3 snr_db=10.0 seed=0\n"
+        "fig2: curves=sigma2 N=48 F=10 lambda=0.5..0.3 snr_db=10.0 seed=0\n"
+        "fig3: curves=sigma1,sigma2 N=48 F=10 lambda=0.5..0.3 snr_db=10.0 seed=0\n"
+        "fig4: curves=sigma1,sigma2 N=48 F=10 lambda=0.5..0.3 snr_db=10.0 seed=0\n"
+    )
+
+
+def test_import_builds_no_config():
+    # presets are settings built on demand, so an import pays for no M < N check
+    script = (
+        "import sys\n"
+        "built = []\n"
+        "def watch(frame, event, arg):\n"
+        "    if event == 'call' and frame.f_code.co_name == '__post_init__':\n"
+        "        built.append(type(frame.f_locals['self']).__name__)\n"
+        "sys.setprofile(watch)\n"
+        "import submig, submig.cli\n"
+        "sys.setprofile(None)\n"
+        "print('ExperimentConfig' in built, 'InclusionSpec' in built)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    # the default inclusion is built once, as the dataclass default
+    assert proc.stdout == "False True\n"
 
 
 def test_artifacts_independent_of_blas_threads(tmp_path):
