@@ -12,6 +12,7 @@ to split a master seed into per-matrix substreams.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -127,7 +128,25 @@ def _contrast_terms(inclusion: ThinInclusion) -> tuple[float, float, float]:
 
 
 def _prefactor(omega: float, h: float) -> complex:
-    return h * omega**2 * (1.0 + 1.0j) / (4.0 * math.sqrt(omega * math.pi))
+    """Scale h omega^2 (1 + i) / (4 sqrt(pi omega)) of the MSR matrix at omega.
+
+    The one rule on it, for assemble_msr and the run config: it must neither
+    underflow to 0 nor overflow, or the matrix is all zeros or not finite.
+    """
+    try:
+        scale = h * omega**2 * (1.0 + 1.0j) / (4.0 * math.sqrt(omega * math.pi))
+    except OverflowError:  # omega**2
+        scale = complex(math.inf, math.inf)
+    if scale == 0.0:
+        raise ConfigurationError(
+            f"MSR prefactor underflows to 0 at omega={omega:.6g} (h={h}): "
+            "lambda_max is too large or h too small"
+        )
+    if not cmath.isfinite(scale):
+        raise ConfigurationError(
+            f"MSR prefactor overflows at omega={omega:.6g} (h={h}): h is too large"
+        )
+    return scale
 
 
 def assemble_msr(dirs: DirectionSet, omega: float, inclusion: ThinInclusion) -> MsrMatrix:
@@ -140,6 +159,7 @@ def assemble_msr(dirs: DirectionSet, omega: float, inclusion: ThinInclusion) -> 
         raise ConfigurationError(
             f"effective segment count M={m} must stay below N={dirs.count}"
         )
+    scale = _prefactor(omega, inclusion.half_thickness)
     samples = sample_curve(inclusion, m)
     c0, ev_t, ev_n = _contrast_terms(inclusion)
     n = dirs.count
@@ -154,7 +174,7 @@ def assemble_msr(dirs: DirectionSet, omega: float, inclusion: ThinInclusion) -> 
             + ev_t * np.outer(at * e, at * e)
             + ev_n * np.outer(an * e, an * e)
         )
-    k *= _prefactor(omega, inclusion.half_thickness)
+    k *= scale
     return MsrMatrix(omega=omega, entries=k, dirs=dirs)
 
 

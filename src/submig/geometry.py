@@ -7,6 +7,7 @@ arclength midpoints of segments no longer than half a wavelength.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -31,7 +32,10 @@ _S_EPS = 1e-12
 
 
 class ParametricCurve:
-    """Regular parametric curve on [s_min, s_max]; subclasses implement the maps."""
+    """Regular parametric curve on [s_min, s_max]; subclasses implement the maps.
+
+    A curve is an immutable, hashable value: :func:`curve_length` caches on it.
+    """
 
     s_min: float
     s_max: float
@@ -137,8 +141,12 @@ class CurveSample:
     s: float = field(default=math.nan)
 
 
+@functools.lru_cache(maxsize=64)
 def curve_length(curve: ParametricCurve) -> float:
-    """Arclength of the curve via adaptive quadrature of its speed."""
+    """Arclength of the curve via adaptive quadrature of its speed.
+
+    Memoised on the curve, so each curve's length is integrated once.
+    """
     return quad_adaptive(curve.speed, curve.s_min, curve.s_max)
 
 

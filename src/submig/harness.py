@@ -26,6 +26,7 @@ from .forward import (
     FrequencySet,
     MsrMatrix,
     _noise_factor,
+    _prefactor,
     add_awgn,
     assemble_msr,
     derive_stream_seed,
@@ -165,6 +166,11 @@ class ExperimentConfig:
                     f"effective segment count M={m} must stay below N={self.directions} "
                     f"directions ({_curve_name(spec)} at wavelength {wavelength})"
                 )
+        # assemble_msr's prefactor rule; the prefactor grows with omega, so the
+        # band's ends bound it
+        for omega in (freqs.omegas[0], freqs.omegas[-1]):
+            for spec in self.inclusions:
+                _prefactor(float(omega), spec.h)
 
     def summary(self) -> str:
         curves = ",".join(_curve_name(spec) for spec in self.inclusions)

@@ -1,16 +1,20 @@
 """Self-contained special functions and quadrature.
 
 Bessel functions of integer order (first kind), a deterministic adaptive
-Simpson integrator with fixed tolerances, and the closed-form weighted integrals of J0(x)^2 that
-the imaging analysis relies on.  J_n is its power series below x = 8 and,
-from 8 up, the midpoint rule on its periodic integral representation, which
-converges exponentially (Trefethen & Weideman, SIAM Review 56, 2014).  No
-external special-function library is used; tests cross-check everything
-against independent high-precision oracles.
+Simpson integrator with fixed tolerances, and the closed-form weighted
+integrals of J0(x)^2 that the imaging analysis relies on.  J_n is its power
+series (Horner's rule in (x/2)^2) below x = 8 and, from 8 up, the midpoint
+rule on its periodic integral representation, which converges exponentially
+(Trefethen & Weideman, SIAM Review 56, 2014).  The rule is folded onto
+(0, pi/2) by the symmetry t -> pi - t and gets just enough nodes for its
+aliasing error to stay below 1e-16 on [8, 200].  No external special-function
+library is used; tests cross-check everything against independent
+high-precision oracles.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -36,32 +40,51 @@ class ConvergenceError(RuntimeError):
 # Bessel J_n
 
 _SERIES_CUTOFF = 8.0  # power series below, midpoint rule on the integral at/above
-_SERIES_TERMS = 40  # below the cutoff the last term is < 1e-47
+_SERIES_TERMS = 27  # below the cutoff the first dropped term is < 1e-20
 _CHUNK_POINTS = 256  # arguments per block: bounds the (points, nodes) temporaries
 
 
+@functools.lru_cache(maxsize=16)
+def _series_coeffs(n: int) -> tuple[float, ...]:
+    # (-1)^k / (k! (n+k)!), each rounded once from exact integers
+    return tuple(
+        (-1) ** k / (math.factorial(k) * math.factorial(n + k)) for k in range(_SERIES_TERMS)
+    )
+
+
 def _series_plain(n: int, x: np.ndarray) -> np.ndarray:
+    # (x/2)^n sum_k c_k q^k, q = (x/2)^2, by Horner's rule in q
     half = 0.5 * x
     q = half * half
-    term = half**n / math.factorial(n)
-    total = term.copy()
-    for k in range(1, _SERIES_TERMS):
-        term = term * q / (-k * (n + k))
-        total += term
-    return total
+    total = np.zeros_like(x)
+    for c in reversed(_series_coeffs(n)):
+        total *= q
+        total += c
+    return total * half**n if n else total
+
+
+def _node_count(n: int, x_max: float) -> int:
+    # the m-node rule's error is about |J_{2m-n}(x)| + |J_{2m+n}(x)|; with
+    # 2m - n >= x + 12 x^(1/3) that stays below 1e-16 for x in [8, 200]
+    # (against mpmath).  m is even so that the rule folds.
+    m = math.ceil(0.5 * x_max + 6.0 * x_max ** (1.0 / 3.0)) + n
+    return m + m % 2
 
 
 def _integral_midpoint(n: int, x: np.ndarray) -> np.ndarray:
-    # the integrand is even and 2*pi-periodic, so the rule's error is a sum of
-    # J_{2kM +- n}(x), k >= 1, negligible once 2M - n exceeds x by a margin
-    m = math.ceil(float(x.max())) + n + 40
-    tau = (np.arange(m) + 0.5) * (math.pi / m)
-    n_tau = n * tau
+    # the nodes t and pi - t of the m-node rule on [0, pi] pair up: their sum is
+    # 2 cos(n t) cos(x sin t) for even n and 2 sin(n t) sin(x sin t) for odd n
+    m = _node_count(n, float(x.max()))
+    tau = (np.arange(m // 2) + 0.5) * (math.pi / m)
     sin_tau = np.sin(tau)
+    wave = np.sin if n % 2 else np.cos
+    weight = wave(n * tau) * (2.0 / m)
     out = np.empty_like(x)
     for start in range(0, x.size, _CHUNK_POINTS):
-        block = x[start : start + _CHUNK_POINTS, None]
-        out[start : start + block.shape[0]] = np.cos(n_tau - block * sin_tau).sum(axis=1) / m
+        block = wave(x[start : start + _CHUNK_POINTS, None] * sin_tau)
+        block *= weight
+        # ndarray.sum, not a matrix product: BLAS may round by thread count
+        out[start : start + block.shape[0]] = block.sum(axis=1)
     return out
 
 
@@ -78,12 +101,17 @@ def _bessel_core(n: int, x: np.ndarray) -> np.ndarray:
 def bessel_j(n: int, x):
     """Bessel function J_n(x) of the first kind, integer order n >= 0.
 
-    Power series below x = 8.  At and above 8, the midpoint rule with
-    ceil(max x) + n + 40 nodes on the integral representation
-    J_n(x) = (1/pi) int_0^pi cos(n t - x sin t) dt, whose periodic integrand
-    makes the rule converge exponentially (Trefethen & Weideman, "The
-    exponentially convergent trapezoidal rule", SIAM Review 56, 2014).
-    Accepts scalars or ndarrays; x must be finite and nonnegative.
+    Below x = 8, the power series in q = (x/2)^2 to 27 terms by Horner's
+    rule (the dropped terms are < 1e-20).  At and above 8, the m-node
+    midpoint rule on J_n(x) = (1/pi) int_0^pi cos(n t - x sin t) dt, whose
+    periodic integrand makes the rule converge exponentially (Trefethen &
+    Weideman, "The exponentially convergent trapezoidal rule", SIAM Review
+    56, 2014).  Its nodes t and pi - t pair up, so m/2 cosines (even n) or
+    sines (odd n) of x sin t give each value.  The error is about
+    |J_{2m-n}(x)| + |J_{2m+n}(x)|, and m = ceil(x/2 + 6 x^(1/3)) + n, rounded
+    up to even with x the largest argument of the call, keeps it below 1e-16
+    on [8, 200].  Accepts scalars or ndarrays; x must be finite and
+    nonnegative.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValueError(f"order must be a nonnegative integer, got {n!r}")

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -275,3 +279,31 @@ def test_e1e2_csv(tmp_path):
     assert len(lines) == 4 + 3
     r, e1, e2, diff = (float(t) for t in lines[4].split(","))
     assert (e2 - e1) == pytest.approx(diff, abs=1e-15)
+
+
+def test_closed_forms_independent_of_blas_threads():
+    # sigma1's segment points at the preset band, in fresh interpreters at one
+    # and two BLAS threads; the reprs carry every bit
+    script = (
+        "import numpy as np\n"
+        "from submig import analysis as ana, geometry as geo\n"
+        "inc = geo.ThinInclusion(curve=geo.get_curve('sigma1'))\n"
+        "m = geo.effective_segment_count(inc.curve, 0.3)\n"
+        "scat = ana.ScattererSet(np.array([s.point for s in geo.sample_curve(inc, m)]))\n"
+        "band = ana.BandLimits.from_wavelengths(0.5, 0.3, 10)\n"
+        "for z, r in (((0.1, 0.45), 0.05), ((-0.6, -0.3), 0.7)):\n"
+        "    z = np.array(z)\n"
+        "    print(repr(ana.analytic_mf(z, scat, band)), repr(ana.analytic_log(z, scat, band)),\n"
+        "          repr(ana.e1_e2(r, band)))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        outputs[threads] = proc.stdout
+    assert len(outputs["1"].splitlines()) == 2
+    assert outputs["1"] == outputs["2"]

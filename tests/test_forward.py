@@ -194,6 +194,18 @@ class TestAssembleMsr:
         assert norms[1] / norms[0] == pytest.approx(2.0**1.5, rel=1e-12)
         assert norms[2] / norms[1] == pytest.approx(2.0**1.5, rel=1e-12)
 
+    def test_prefactor_must_be_nonzero_and_finite(self):
+        dirs = fwd.make_directions(8)
+        # omega^2 underflows to 0 below omega ~ 2e-162: the matrix would be all zeros
+        with pytest.raises(fwd.ConfigurationError, match="underflows to 0.*lambda_max"):
+            fwd.assemble_msr(dirs, 2 * math.pi / 1e300, sigma1_inclusion())
+        thick = geo.ThinInclusion(curve=geo.get_curve("sigma1"), half_thickness=1e308)
+        with pytest.raises(fwd.ConfigurationError, match="overflows.*h is too large"):
+            fwd.assemble_msr(dirs, 2 * math.pi / 0.5, thick)
+        # a subnormal omega^2 (about 4e-321) still gives a nonzero matrix
+        k = fwd.assemble_msr(dirs, 2 * math.pi / 1e161, sigma1_inclusion())
+        assert np.any(k.entries != 0.0)
+
     def test_resolution_violation(self):
         with pytest.raises(fwd.ConfigurationError):
             fwd.assemble_msr(fwd.make_directions(4), 2 * math.pi / 0.3, sigma1_inclusion())

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submig import geometry as geo
+from submig import specfun as sf
 
 # closed form for the sigma1 length: [s*sqrt(1+s^2)/2 + asinh(s)/2] on [-0.5, 0.5]
 SIGMA1_LENGTH = 1.0402288194345508716
@@ -43,6 +45,27 @@ class TestCurveLength:
                 return np.stack([-np.sin(s), np.cos(s)], axis=-1)
 
         assert geo.curve_length(Circle()) == pytest.approx(math.pi, abs=1e-10)
+
+    def test_length_integrated_once_per_curve(self):
+        calls = []
+
+        @dataclass(frozen=True)
+        class CountedCurve(geo.PolynomialCurve):
+            def speed(self, s):
+                calls.append(np.size(s))
+                return super().speed(s)
+
+        curve = CountedCurve(x_coeffs=(0.0, 1.0), y_coeffs=(0.25, 0.0, 0.75))
+        equal = CountedCurve(x_coeffs=(0.0, 1.0), y_coeffs=(0.25, 0.0, 0.75))
+        calls.clear()  # the regularity check at construction evaluates the speed
+        first = geo.curve_length(curve)
+        assert calls
+        calls.clear()
+        assert geo.curve_length(curve) == first
+        assert geo.curve_length(equal) == first
+        assert not calls
+        # the memo returns the quadrature's value bit for bit
+        assert first == sf.quad_adaptive(curve.speed, curve.s_min, curve.s_max)
 
 
 class TestFrames:

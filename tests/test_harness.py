@@ -331,11 +331,16 @@ class TestConfigValidation:
             # WMF(01) would name WMF(1) a second time under another tag
             (dict(functionals=("WMF(1)", "WMF(01)")), "unknown functional tag 'WMF\\(01\\)'"),
             (dict(functionals=("WMF(00)",)), "unknown functional"),
+            # assemble_msr's prefactor h omega^2 ... at the band's ends
+            (dict(functionals=("MF",), lambda_max=1e300), "underflows to 0.*lambda_max"),
+            (dict(inclusions=(harness.InclusionSpec(curve="sigma1", h=1e308),)),
+             "overflows.*h is too large"),
         ],
         ids=[
             "c-zero", "c-short", "log-band", "log-omega-one", "repeated", "repeated-sf",
             "c-nan", "snr-nan", "snr-minus-inf", "snr-overflow", "seed", "trailing-newline",
             "non-ascii-power", "leading-zero-power", "zero-power-padded",
+            "prefactor-underflow", "prefactor-overflow",
         ],
     )
     def test_rejected_before_the_run(self, overrides, match):
@@ -632,6 +637,8 @@ class TestCli:
             (["--mu", "inf"], "mu=inf"),
             (["--snr-db", "-4000"], "snr_db"),
             (["--preset", "fig1", "--N", "7"], "M=7 must stay below N=7 directions"),
+            (["--lambda-max", "1e300", "--functional", "MF"], "lambda_max is too large"),
+            (["--h", "1e308"], "h is too large"),
         ],
         ids=[
             "tau", "grid", "functional", "config", "c", "log-band", "repeated-functional",
@@ -639,6 +646,7 @@ class TestCli:
             "tau-malformed", "directions-malformed", "config-c-count",
             "segments-exceed-directions", "non-canonical-power", "zero-contrast", "h-inf",
             "eps-inf", "mu-inf", "snr-overflow", "preset-segments-exceed-directions",
+            "prefactor-underflow", "prefactor-overflow",
         ],
     )
     def test_bad_config_is_a_usage_error(self, argv, names, tmp_path):

@@ -44,11 +44,28 @@ class TestBesselJ:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_absolute_accuracy_below_30(self, n):
-        # both sides of the series/integral cutoff at x = 8
-        xs = np.concatenate([np.linspace(1e-9, 30.0, 411), [8.0 - 1e-12, 8.0, 8.0 + 1e-12]])
+        # both sides of the series/integral cutoff at x = 8; the series loses
+        # ~1e-14 to cancellation just below it
+        xs = np.concatenate(
+            [[0.0], np.linspace(1e-9, 30.0, 411), [8.0 - 1e-12, 8.0, 8.0 + 1e-12]]
+        )
         ref = np.array([float(mp.besselj(n, mp.mpf(x))) for x in xs])
-        got = sf.bessel_j(n, xs)
-        assert np.max(np.abs(got - ref)) < 1e-12
+        bound = np.where(xs < 8.0, 2e-14, 5e-15)
+        assert np.all(np.abs(sf.bessel_j(n, xs) - ref) <= bound)
+        scalar = np.array([sf.bessel_j(n, float(x)) for x in xs])
+        assert np.all(np.abs(scalar - ref) <= bound)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_absolute_accuracy_from_8_to_200(self, n):
+        # a scalar call sizes the rule by its own argument, the tightest case;
+        # a batch sizes it by the largest, and a short block by its own largest
+        xs = np.linspace(8.0, 200.0, 769)
+        ref = np.array([float(mp.besselj(n, mp.mpf(x))) for x in xs])
+        scalar = np.array([sf.bessel_j(n, float(x)) for x in xs])
+        assert np.max(np.abs(scalar - ref)) <= 5e-15
+        assert np.max(np.abs(sf.bessel_j(n, xs) - ref)) <= 5e-15
+        blocks = np.concatenate([sf.bessel_j(n, part) for part in np.array_split(xs, 48)])
+        assert np.max(np.abs(blocks - ref)) <= 5e-15
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_relative_accuracy_above_30(self, n):
