@@ -7,9 +7,12 @@ finest wavelength; MF, WMF(n) and LOG are |sum_f xi_f c_f| with weights
 xi_f = 1/F, omega_f^n and ln omega_f.  ``subspace_correlations`` computes
 every c_f once, and ``map_multi`` combines that one array into each
 weighted functional.  Steering vectors are built from separable
-x and y phase tables and a correlation is evaluated over fixed-size blocks
-of grid rows, so memory stays bounded on large grids; values agree with the
-pointwise formula to rounding.
+x and y phase tables, and since the bilinear form sees only the symmetric
+part of U_m V_m^H, each c_f is one matrix product over direction pairs
+j <= l: a (ny, pairs) table of weighted y products times a (pairs, nx) table
+of x products.  The pairs go in fixed-size blocks, so memory stays bounded
+on large grids whatever the direction count; values agree with the pointwise
+formula to rounding.
 """
 
 from __future__ import annotations
@@ -73,6 +76,11 @@ class ImageGrid:
         finite = np.all(np.isfinite(bounds))
         if not (finite and self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError(f"grid bounds must be finite nonempty intervals, got {bounds}")
+        for name in ("nx", "ny"):
+            size = getattr(self, name)
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+                raise ValueError(f"grid {name} must be an integer, got {size!r}")
+            object.__setattr__(self, name, int(size))
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid resolution must be at least 2 per axis")
 
@@ -134,7 +142,9 @@ def test_vector(
     return w / np.linalg.norm(amps)
 
 
-_CHUNK_ROWS = 16
+# direction pairs per matrix product: a block's temporaries are (nx + ny) pair
+# columns, whatever the direction count
+_CHUNK_PAIRS = 256
 
 
 def _subspace_correlation(
@@ -145,9 +155,11 @@ def _subspace_correlation(
     tau: float,
     out: np.ndarray,
 ) -> None:
-    # c(z) = w(z)^H (U_m V_m^H) conj(w(z)), written into out; exp(-i omega z.theta)
-    # factors into an x table and a y table, so only (nx + ny) * N exponentials
-    # are taken
+    # c(z) = w(z)^H P conj(w(z)) with P = U_m V_m^H, written into out.
+    # conj(w_j(x, y)) = X_j(x) Y_j(y) splits into an x table and a y table, and
+    # the bilinear form sees only the symmetric part of P, so
+    #   c[y, x] = sum_{j <= l} s_jl (Y_j Y_l)(y) (X_j X_l)(x),
+    # s_jj = P_jj, s_jl = P_jl + P_lj: one matrix product per block of pairs
     m_eff = effective_rank(factors, tau)
     if m_eff == 0:
         raise EmptySubspaceError(
@@ -156,15 +168,24 @@ def _subspace_correlation(
     amps = _direction_amplitudes(k.dirs, cfg)
     amps = amps / np.linalg.norm(amps)
     thetas = k.dirs.thetas
-    x_table = amps * np.exp(-1j * k.omega * np.outer(grid.xs, thetas[:, 0]))
-    y_table = np.exp(-1j * k.omega * np.outer(grid.ys, thetas[:, 1]))
+    x_table = amps[:, None] * np.exp(-1j * k.omega * np.outer(thetas[:, 0], grid.xs))
+    y_table = np.exp(-1j * k.omega * np.outer(thetas[:, 1], grid.ys))
     projector = factors.u[:, :m_eff] @ factors.v[:, :m_eff].conj().T
-    for start in range(0, grid.ny, _CHUNK_ROWS):
-        rows = y_table[start : start + _CHUNK_ROWS]
-        w_bar = (rows[:, None, :] * x_table[None, :, :]).reshape(-1, thetas.shape[0])
-        out[start : start + rows.shape[0]] = np.sum(
-            (w_bar @ projector) * w_bar, axis=1
-        ).reshape(rows.shape[0], grid.nx)
+    symmetric = projector + projector.T
+    np.fill_diagonal(symmetric, np.diagonal(projector))
+    first, second = np.triu_indices(thetas.shape[0])
+    weights = symmetric[first, second]
+    for start in range(0, weights.size, _CHUNK_PAIRS):
+        block = slice(start, start + _CHUNK_PAIRS)
+        yy = y_table[first[block]]
+        yy *= y_table[second[block]]
+        yy *= weights[block, None]
+        xx = x_table[first[block]]
+        xx *= x_table[second[block]]
+        if start == 0:
+            np.matmul(yy.T, xx, out=out)
+        else:
+            out += yy.T @ xx
 
 
 def map_single(

@@ -163,6 +163,16 @@ def test_criterion_07_fig1_reproduction(fig1_runs):
     )
 
 
+def test_fig1_log_sits_between_wmf1_and_mf(fig1_runs):
+    # the measured ordering that criterion 7 does not meet: LOG's weights tilt
+    # less than omega, so at fig1 seed 0 it lands strictly between MF and WMF(1)
+    report = fig1_runs[0]
+    for metric in ("sidelobe_energy", "localization_error"):
+        got = {tag: report.metrics[tag][metric] for tag in ("MF", "WMF(1)", "LOG")}
+        print(f"{metric}: " + " ".join(f"{tag}={v:.6f}" for tag, v in got.items()))
+        assert got["WMF(1)"] < got["LOG"] < got["MF"], f"{metric}: {got}"
+
+
 def test_criterion_08_fig4_reproduction(fig4_run):
     se = {tag: fig4_run.metrics[tag]["sidelobe_energy"] for tag in ("MF", "WMF(1)", "LOG")}
     print(

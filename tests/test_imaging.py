@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,18 @@ class TestMapSingle:
         assert out.omegas == (OMEGA_05,)
 
 
+def random_factors(n, omega, seed, sigma_min=1e-3):
+    # an SVD of a generic matrix: U and V unrelated, so U_m V_m^H is not symmetric
+    rng = np.random.default_rng(seed)
+    u, v = (
+        np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        for _ in range(2)
+    )
+    s = np.geomspace(1.0, sigma_min, n)
+    k = fwd.MsrMatrix(omega=omega, entries=(u * s) @ v.conj().T, dirs=fwd.make_directions(n))
+    return k, spectral.SvdFactors(u=u, s=s, v=v)
+
+
 class TestCorrelationKernel:
     @pytest.mark.parametrize(
         "grid, cfg",
@@ -132,6 +145,39 @@ class TestCorrelationKernel:
         got = img.map_single(*ks[0], grid, cfg).values
         want = np.abs(pointwise_correlation(*ks[0], grid, cfg))
         assert np.max(np.abs(got - want)) <= 1e-13 * want.max()
+
+    # pair counts n(n+1)/2 against blocks of 256: 136 is under one block, 130816
+    # is exactly 511 blocks, 1176 is four blocks and 152 pairs
+    @pytest.mark.parametrize("n, blocks", [(16, 0), (511, 511), (48, 4)])
+    def test_asymmetric_projector_matches_pointwise(self, n, blocks):
+        pairs = n * (n + 1) // 2
+        assert pairs // img._CHUNK_PAIRS == blocks
+        assert (pairs % img._CHUNK_PAIRS == 0) == (n == 511)
+        grid = img.ImageGrid(x_min=-0.7, x_max=1.2, y_min=-0.4, y_max=0.5, nx=13, ny=7)
+        cfg = img.SteeringConfig(c=(1, 1, 0))
+        ks = [random_factors(n, OMEGA_05, seed=n), random_factors(n, 0.8 * OMEGA_05, seed=n + 1)]
+        m = spectral.effective_rank(ks[0][1], 0.01)
+        assert 0 < m < n
+        projector = ks[0][1].u[:, :m] @ ks[0][1].v[:, :m].conj().T
+        assert np.max(np.abs(projector - projector.T)) > 0.1 * np.max(np.abs(projector))
+        got = img.subspace_correlations(ks, grid, cfg)
+        for f, (k, factors) in enumerate(ks):
+            want = pointwise_correlation(k, factors, grid, cfg)
+            assert np.max(np.abs(got[f] - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_memory_bounded_by_pair_blocks(self):
+        n, grid = 96, img.ImageGrid(nx=101, ny=101)
+        assert n * (n + 1) // 2 == 4656
+        ks = [random_factors(n, OMEGA_05, seed=7), random_factors(n, 0.9 * OMEGA_05, seed=8)]
+        tracemalloc.start()
+        try:
+            out = img.subspace_correlations(ks, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a few (pair block x axis) tables live at once: ~2.4 blocks here
+        block = (grid.nx + grid.ny) * img._CHUNK_PAIRS * 16
+        assert peak < out.nbytes + 4 * block, (peak - out.nbytes) / block
 
 
 class TestMapMulti:
@@ -277,6 +323,19 @@ def test_grid_validation():
         img.ImageGrid(x_min=1.0, x_max=-1.0)
     with pytest.raises(ValueError, match="finite"):
         img.ImageGrid(x_min=-math.inf)
+
+
+@pytest.mark.parametrize("field, size", [("nx", 2.5), ("ny", 41.0), ("nx", True), ("ny", "41")])
+def test_grid_resolution_must_be_an_integer(field, size):
+    with pytest.raises(ValueError, match=f"grid {field} must be an integer"):
+        img.ImageGrid(**{field: size})
+
+
+def test_grid_accepts_numpy_integers():
+    grid = img.ImageGrid(nx=np.int64(5), ny=np.int32(3))
+    assert (type(grid.nx), type(grid.ny)) == (int, int)
+    assert grid == img.ImageGrid(nx=5, ny=3)
+    assert grid.points().shape == (15, 2)
 
 
 def test_grid_points_order():
