@@ -5,7 +5,12 @@ band integral.  Its closed form is envelope (J0^2 + J1^2) boundary terms,
 one vectorised evaluation over the scatterer radii, plus a remainder
 integral with no elementary closed form.  The remainder's scatterer sum is
 integrated as one function on (abscissae x scatterers) arrays, one adaptive
-quadrature per search point, so the 1e-10 tolerances apply to that sum.
+Gauss-Legendre quadrature per search point, so the 1e-10 tolerances apply to
+that sum.  On the default band near the inclusion (omega r up to ~32) the
+16-point rule on the band and on its two halves already agree, so each
+remainder costs 48 abscissae; the default grid's far corners (omega r
+~61-75) take 112-240.  The closed forms agree with mpmath to ~3e-14
+relative.
 The two improvement diagnostics E1 and E2 quantify why the log-weighted
 functional suppresses artifacts near the scatterers.
 """

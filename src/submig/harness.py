@@ -123,6 +123,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.inclusions:
             raise ValueError("need at least one inclusion")
+        for name in ("directions", "frequencies", "seed"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {count!r}")
         for tag in self.functionals:
             try:
                 if tag != "SF":

@@ -1,9 +1,11 @@
 """Complex SVD with a fixed phase convention, and signal-subspace thresholding.
 
 The factorization is LAPACK's (``numpy.linalg.svd``).  Each left singular
-vector is rotated so that its largest-magnitude entry is real and positive,
-and the matching right vector by the same phase, so the factors are
-reproducible from one call to the next.
+vector is rotated so that its lead entry is real and positive, and the
+matching right vector by the same phase, so the factors are reproducible
+from one call to the next.  The lead is the first entry whose magnitude is
+within 1e-12 (relative) of the vector's largest, so rounding cannot choose
+between tied entries.
 """
 
 from __future__ import annotations
@@ -15,6 +17,11 @@ import numpy as np
 __all__ = ["SvdFactors", "svd", "effective_rank", "save_spectrum_csv"]
 
 DEFAULT_RANK_THRESHOLD = 0.01
+# magnitudes within this relative distance of a vector's largest are tied.
+# The phase rotation rounds every magnitude by ~2 eps, which can carry an
+# entry across the window's edge: on 606 clean sigma1/sigma2 MSRs (N = 32,
+# 48, 64) that moved the lead of 101 vectors at 4 eps and of none at 1e-12
+_LEAD_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -33,8 +40,11 @@ def svd(matrix) -> SvdFactors:
     """Full SVD with a deterministic phase convention.
 
     Accepts an ndarray or any object with a complex ``entries`` array.  The
-    largest-magnitude entry of each left vector is made real and positive.
-    Singular values at or below n * eps * sigma_1 are set to exactly 0.
+    lead entry of each left vector is made real and positive: the one of
+    lowest index among those whose magnitude is at least (1 - 1e-12) times
+    the vector's largest, so that entries tied up to rounding always give
+    the same lead, before and after the rotation.  Singular values at or
+    below n * eps * sigma_1 are set to exactly 0.
     """
     entries = getattr(matrix, "entries", matrix)
     a = np.array(entries, dtype=complex)
@@ -49,8 +59,11 @@ def svd(matrix) -> SvdFactors:
     cutoff = n * np.finfo(float).eps * (s[0] if s[0] > 0.0 else 1.0)
     s[s <= cutoff] = 0.0
 
-    # phase convention: largest-magnitude entry of each left vector real positive
-    lead = u[np.argmax(np.abs(u), axis=0), np.arange(n)]
+    # phase convention: the first entry of each left vector tied with its
+    # largest magnitude is made real positive
+    mag = np.abs(u)
+    tied = mag >= (1.0 - _LEAD_TIE_RTOL) * mag.max(axis=0)
+    lead = u[np.argmax(tied, axis=0), np.arange(n)]
     phase = lead / np.abs(lead)
     u, v = u / phase, v / phase
 

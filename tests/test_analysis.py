@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from submig import analysis as ana
+from submig import geometry as geo
 from submig.specfun import bessel_j, quad_adaptive
 from conftest import composite_simpson
 
@@ -214,6 +215,45 @@ class TestFusedScattererSum:
         monkeypatch.setattr(ana, "quad_adaptive", counting)
         func(self.Z, self.SCAT, BAND)
         assert len(seen) == calls
+
+
+class TestQuadratureAccuracy:
+    """The closed forms against mpmath on the fig1 scatterers and band."""
+
+    INC = geo.ThinInclusion(curve=geo.get_curve("sigma1"))
+    M = geo.effective_segment_count(INC.curve, 0.3)
+    SCAT = ana.ScattererSet(points=np.array([smp.point for smp in geo.sample_curve(INC, M)]))
+
+    # the origin, near the scatterers, and a point whose farthest scatterer
+    # puts the largest argument omega_f r at ~61, near the fig1 grid's corner
+    @pytest.mark.parametrize("z", [(0.0, 0.0), (1.5, -1.6)])
+    def test_mf_log_e1_e2_match_mpmath(self, z):
+        r = np.hypot(*(np.asarray(z) - self.SCAT.points).T)
+        r_far = float(r.max())
+        with mp.workdps(20):
+            a, b = mp.mpf(BAND.omega1), mp.mpf(BAND.omega_f)
+            breaks = mp.linspace(a, b, 9)
+            radii = [mp.mpf(float(v)) for v in r]
+            scale = BAND.count / (b - a)
+
+            def j0sq_sum(w):
+                return sum(mp.besselj(0, w * v) ** 2 for v in radii)
+
+            want = {
+                "mf": scale * mp.quad(j0sq_sum, breaks),
+                "log": scale * mp.quad(lambda w: mp.log(w) * j0sq_sum(w), breaks),
+                "e1": mp.quad(lambda w: mp.besselj(0, w * r_far) ** 2, breaks),
+                "e2": mp.quad(lambda w: (mp.log(w) - 1) * mp.besselj(1, w * r_far) ** 2, breaks),
+            }
+        e1, e2 = ana.e1_e2(r_far, BAND)
+        got = {
+            "mf": ana.analytic_mf(z, self.SCAT, BAND),
+            "log": ana.analytic_log(z, self.SCAT, BAND),
+            "e1": e1,
+            "e2": e2,
+        }
+        for name, value in got.items():
+            assert abs(value / float(want[name]) - 1) <= 1e-13, name
 
 
 class TestE1E2:

@@ -1,6 +1,7 @@
 import math
 from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,21 @@ class TestCurveLength:
 
         assert geo.curve_length(sigma1) == pytest.approx(anti(0.5) - anti(-0.5), abs=1e-9)
         assert geo.curve_length(sigma1) == pytest.approx(SIGMA1_LENGTH, abs=1e-9)
+
+    @pytest.mark.parametrize("name", ["sigma1", "sigma2"])
+    def test_catalog_lengths_match_mpmath(self, name):
+        curve = geo.get_curve(name)
+        with mp.workdps(30):
+            x = [mp.mpf(c) for c in curve.x_coeffs]
+            y = [mp.mpf(c) for c in curve.y_coeffs]
+
+            def speed(s):
+                dx = sum(k * c * s ** (k - 1) for k, c in enumerate(x) if k)
+                dy = sum(k * c * s ** (k - 1) for k, c in enumerate(y) if k)
+                return mp.sqrt(dx * dx + dy * dy)
+
+            want = mp.quad(speed, [curve.s_min, curve.s_max])
+            assert abs(geo.curve_length(curve) / want - 1) <= 1e-15
 
     def test_halfcircle_arc(self):
         # cubic fit is not a circle; use the parametric circle directly

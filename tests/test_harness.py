@@ -305,6 +305,25 @@ class TestConfigValidation:
             small_config(frequencies=frequencies)
 
     @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("directions", 48.0),
+            ("directions", True),
+            ("frequencies", 2.5),
+            ("frequencies", "2"),
+            ("seed", 1.5),
+            ("seed", True),
+        ],
+    )
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            small_config(**{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = small_config(directions=np.int64(48), frequencies=np.int32(2), seed=np.int64(3))
+        assert (cfg.directions, cfg.frequencies, cfg.seed) == (48, 2, 3)
+
+    @pytest.mark.parametrize(
         "lambda_max, lambda_min",
         [(0.5, 0.0), (0.5, -0.3), (0.3, 0.5), (0.5, 0.5), (math.nan, 0.3), (math.inf, 0.3)],
     )

@@ -133,12 +133,18 @@ class TestQuadAdaptive:
 
         def f(x):
             sizes.append(x.size)
-            return np.sin(x)
+            return np.exp(np.sin(8.0 * x))
 
-        assert sf.quad_adaptive(f, 0.0, math.pi) == pytest.approx(2.0, abs=1e-10)
-        # three points first, then both new midpoints of every active interval
-        assert sizes[:2] == [3, 2]
-        assert all(size % 2 == 0 for size in sizes[1:])
+        with mp.workdps(20):
+            want = mp.quad(lambda t: mp.exp(mp.sin(8 * t)), mp.linspace(0, 10, 41))
+        assert sf.quad_adaptive(f, 0.0, 10.0) == pytest.approx(float(want), rel=1e-12)
+        n = sf._GAUSS_NODES
+        # the whole interval and both halves first, then both halves of every
+        # active interval; an interval splits into at most two
+        assert len(sizes) > 2
+        assert sizes[0] == 3 * n
+        assert all(size % (2 * n) == 0 for size in sizes[1:])
+        assert sizes[1] <= 2 * (2 * n)
         assert all(b <= 2 * a for a, b in zip(sizes[1:], sizes[2:]))
 
     def test_empty_interval(self):
@@ -157,11 +163,45 @@ class TestQuadAdaptive:
     @given(st.floats(0.1, 3.0), st.floats(0.0, 4.0))
     @settings(max_examples=25, deadline=None)
     def test_polynomial_exactness(self, span, a):
-        # Simpson is exact for cubics; adaptivity must not break that
+        # the n-point Gauss rule is exact for cubics; adaptivity must not
+        # break that
         b = a + span
         got = sf.quad_adaptive(lambda x: x**3 - 2.0 * x, a, b)
         exact = (b**4 - a**4) / 4.0 - (b**2 - a**2)
         assert got == pytest.approx(exact, abs=1e-10, rel=1e-12)
+
+    def test_exact_to_degree_2n_minus_1_in_one_level(self):
+        sizes = []
+        degree = 2 * sf._GAUSS_NODES - 1
+
+        def f(x):
+            sizes.append(x.size)
+            return x**degree
+
+        exact = (1.5 ** (degree + 1) - 1.0) / (degree + 1)
+        assert sf.quad_adaptive(f, -1.0, 1.5) == pytest.approx(exact, rel=1e-14)
+        assert sizes == [3 * sf._GAUSS_NODES]  # accepted at the first level
+
+    def test_gauss_legendre_nodes_and_weights(self):
+        n = sf._GAUSS_NODES
+        assert sf._GL_NODES.shape == sf._GL_WEIGHTS.shape == (n,)
+        x, w = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(sf._GL_NODES - x)) <= 2e-16
+        # leggauss's own weights are off by up to ~7e-15 relative at n = 16
+        assert np.max(np.abs(sf._GL_WEIGHTS / w - 1)) <= 1e-14
+        # correctly rounded: Newton's method on P_n in 40 digits, started
+        # from the table, with P_n' from the recurrence
+        with mp.workdps(40):
+            for xi, wi in zip(sf._GL_NODES, sf._GL_WEIGHTS):
+                t = mp.mpf(xi)
+                for _ in range(4):
+                    p_prev, p = mp.mpf(1), t
+                    for k in range(2, n + 1):
+                        p_prev, p = p, ((2 * k - 1) * t * p - (k - 1) * p_prev) / k
+                    dp = n * (t * p - p_prev) / (t * t - 1)
+                    t -= p / dp
+                assert xi == float(t)
+                assert wi == float(2 / ((1 - t * t) * dp * dp))
 
 
 class TestIntegralIdentities:
