@@ -8,13 +8,27 @@ combine one pass of per-frequency subspace correlations, and every map is
 scored against one distance field of the grid.  A configuration that cannot
 run is rejected when it is built.  All outputs are deterministic for a fixed
 configuration and seed.
+
+When a run persists, the map files (most of its bytes) are written by a
+forked child process while this one computes the distance field and the
+metrics and writes the other files.  The fork is safe with BLAS threads
+alive in this process: the child runs only Python formatting, numpy
+elementwise operations and file writes, so it calls no BLAS and takes no
+lock that another thread could hold.  Python 3.12 and later emit a
+``DeprecationWarning`` on ``fork()`` in a process with several threads, as
+when OpenBLAS has started its pool; the tests have been run only on 3.11,
+so that case is untested.  Without ``os.fork`` the same writer runs in this
+process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import os
+import pickle
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -487,14 +501,43 @@ def _run(cfg: ExperimentConfig) -> ExperimentReport:
         correlations = subspace_correlations(ks, cfg.grid, steering, cfg.tau)
     maps: dict[str, ImageMap] = {}
     for tag in cfg.functionals:
-        if tag == "SF":
-            # single-frequency map at the finest wavelength
-            maps[tag] = map_single(ks[-1][0], ks[-1][1], cfg.grid, steering, cfg.tau)
-        else:
+        if tag != "SF":
             maps[tag] = map_multi(correlations, omegas, cfg.grid, tag)
+        elif correlations is not None:
+            # single-frequency map at the finest wavelength, from the shared pass
+            maps[tag] = ImageMap(cfg.grid, np.abs(correlations[-1]), tag, omegas[-1:])
+        else:
+            maps[tag] = map_single(ks[-1][0], ks[-1][1], cfg.grid, steering, cfg.tau)
     # released before the distance field, which sets the run's peak memory
     del correlations
 
+    if cfg.out_dir is None:
+        return _score(cfg, inclusions, freqs, ks, maps)
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    with _map_writer(maps, out):
+        report = _score(cfg, inclusions, freqs, ks, maps)
+        save_config(cfg, out / "config.txt")
+        for index, (k, factors) in enumerate(ks):
+            save_msr(k, out / f"msr_f{index:02d}.txt")
+            save_spectrum_csv(factors, k.omega, out / f"spectrum_f{index:02d}.csv")
+    # last, once every map is written: a run directory without it is incomplete
+    payload = {
+        "format": "submig-report/1",
+        "config_hash": report.config_hash,
+        "seed": cfg.seed,
+        "timestamp_utc": report.timestamp_utc,
+        "omegas": list(report.omegas),
+        "m_eff": list(report.m_eff),
+        "metrics": report.metrics,
+    }
+    (out / "metrics.json").write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii"
+    )
+    return report
+
+
+def _score(cfg: ExperimentConfig, inclusions, freqs, ks, maps) -> ExperimentReport:
     dist = distance_to_curves(cfg.grid.points(), [inc.curve for inc in inclusions])
     wavelength = float(freqs.wavelengths[-1])  # lambda_max alone for F = 1
     tube = wavelength / 2.0
@@ -510,44 +553,87 @@ def _run(cfg: ExperimentConfig) -> ExperimentReport:
             "peak_x": float(image.grid.xs[ix]),
             "peak_y": float(image.grid.ys[iy]),
         }
-
-    report = ExperimentReport(
+    return ExperimentReport(
         config=cfg,
         config_hash=_config_hash(cfg),
         timestamp_utc=datetime.now(timezone.utc).isoformat(),
-        omegas=omegas,
+        omegas=tuple(float(w) for w in freqs.omegas),
         m_eff=tuple(effective_rank(factors, cfg.tau) for _, factors in ks),
         spectra=tuple(factors.s.copy() for _, factors in ks),
         maps=maps,
         metrics=metrics,
         out_dir=cfg.out_dir,
     )
-    if cfg.out_dir is not None:
-        _persist(report, ks)
-    return report
 
 
-def _persist(report: ExperimentReport, ks) -> None:
-    out = Path(report.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_config(report.config, out / "config.txt")
-    for index, (k, factors) in enumerate(ks):
-        save_msr(k, out / f"msr_f{index:02d}.txt")
-        save_spectrum_csv(factors, k.omega, out / f"spectrum_f{index:02d}.csv")
-    for tag, image in report.maps.items():
+def _save_maps(maps: dict[str, ImageMap], out: Path) -> None:
+    for tag, image in maps.items():
         slug = _tag_slug(tag)
         save_map_csv(image, out / f"map_{slug}.csv", normalized=False)
         save_map_csv(image, out / f"map_{slug}_norm.csv", normalized=True)
         save_map_pgm(image, out / f"map_{slug}.pgm")
-    payload = {
-        "format": "submig-report/1",
-        "config_hash": report.config_hash,
-        "seed": report.config.seed,
-        "timestamp_utc": report.timestamp_utc,
-        "omegas": list(report.omegas),
-        "m_eff": list(report.m_eff),
-        "metrics": report.metrics,
-    }
-    (out / "metrics.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii"
-    )
+
+
+@contextlib.contextmanager
+def _map_writer(maps: dict[str, ImageMap], out: Path):
+    """Write every map's files into ``out`` alongside the ``with`` block.
+
+    A forked child writes them while the block runs.  Leaving the block reaps
+    the child, also when the block raises; after a clean block the child's
+    error is raised here with the type and message writing in this process
+    would have raised.  The child is fork-safe with BLAS threads alive: it
+    runs only Python formatting, numpy elementwise operations and file
+    writes, so it calls no BLAS and takes no lock another thread could hold.
+    It leaves by ``os._exit``, so it neither flushes the buffers it inherited
+    nor runs exit handlers.  Python 3.12+ warns (``DeprecationWarning``) on
+    ``fork()`` while other threads are alive; untested, as the tests run on
+    3.11.  Without ``os.fork`` the maps are written in this process when the
+    block ends without an error.
+    """
+    if not hasattr(os, "fork"):
+        yield
+        _save_maps(maps, out)
+        return
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            _save_maps(maps, out)
+            status = 0
+        except BaseException as err:
+            _send_error(write_fd, err)
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        yield
+    finally:
+        # read to the end first: the child may block on a full pipe until then
+        try:
+            with open(read_fd, "rb") as pipe:
+                message = pipe.read()
+        finally:
+            _, status = os.waitpid(pid, 0)
+    if message:
+        raise pickle.loads(message)
+    if status != 0:
+        raise RuntimeError(f"map writer exited with status {os.waitstatus_to_exitcode(status)}")
+
+
+def _send_error(fd: int, err: BaseException) -> None:
+    # the error pickled as raised, or as a RuntimeError naming it if it does
+    # not survive the round trip; the parent decodes it only on failure
+    try:
+        message = pickle.dumps(err)
+        pickle.loads(message)
+    except Exception:
+        message = pickle.dumps(RuntimeError(f"map writer failed: {type(err).__name__}: {err}"))
+    with open(fd, "wb") as pipe:
+        pipe.write(message)

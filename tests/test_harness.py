@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import io
 import math
 import os
 import re
@@ -286,6 +287,117 @@ class TestRunExperiment:
     def test_invalid_functional_rejected(self):
         with pytest.raises(ValueError):
             small_config(functionals=("XYZ",))
+
+    @pytest.mark.parametrize("frequencies", [2, 10])
+    def test_sf_alongside_mf_reuses_the_correlation_pass(self, monkeypatch, frequencies):
+        # SF is |c_F| of the shared pass, the map map_single computes on its own
+        sf_only = harness.run_experiment(small_config(frequencies=frequencies, functionals=("SF",)))
+        calls = 0
+        correlation = img._subspace_correlation
+
+        def count_correlation(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return correlation(*args, **kwargs)
+
+        monkeypatch.setattr(img, "_subspace_correlation", count_correlation)
+        both = harness.run_experiment(
+            small_config(frequencies=frequencies, functionals=("SF", "MF"))
+        )
+        assert calls == frequencies
+        assert np.array_equal(both.maps["SF"].values, sf_only.maps["SF"].values)
+        assert both.maps["SF"].omegas == sf_only.maps["SF"].omegas == (both.omegas[-1],)
+
+
+def assert_no_child_left():
+    # every child of this process has been reaped, none is running or a zombie
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def same_run_files(a: Path, b: Path) -> bool:
+    # byte-identical run directories, but for the metrics.json timestamp
+    names = sorted(p.name for p in a.iterdir())
+    if names != sorted(p.name for p in b.iterdir()):
+        return False
+    for name in names:
+        one, two = (a / name).read_bytes(), (b / name).read_bytes()
+        if name == "metrics.json":
+            one = b"".join(ln for ln in one.splitlines(True) if b"timestamp_utc" not in ln)
+            two = b"".join(ln for ln in two.splitlines(True) if b"timestamp_utc" not in ln)
+        if one != two:
+            return False
+    return True
+
+
+class TestMapWriter:
+    def test_child_error_raised_as_written_in_process(self, tmp_path):
+        out = tmp_path / "run"
+        (out / "map_mf.csv").mkdir(parents=True)
+        with pytest.raises(IsADirectoryError) as exc:
+            harness.run_experiment(small_config(out_dir=str(out)))
+        assert exc.value.filename == str(out / "map_mf.csv")
+        assert str(exc.value) == f"[Errno 21] Is a directory: '{out / 'map_mf.csv'}'"
+        # metrics.json marks a complete run directory
+        assert not (out / "metrics.json").exists()
+        assert_no_child_left()
+
+    def test_child_value_error_gains_the_config_context(self, tmp_path, monkeypatch):
+        def failing_pgm(image, path):
+            raise ValueError("injected failure")
+
+        monkeypatch.setattr(harness, "save_map_pgm", failing_pgm)
+        with pytest.raises(harness.ExperimentError) as exc:
+            harness.run_experiment(small_config(out_dir=str(tmp_path / "run")))
+        assert type(exc.value.__cause__) is ValueError
+        assert str(exc.value.__cause__) == "injected failure"
+        assert_no_child_left()
+
+    def test_child_exit_without_a_message(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+
+        def exiting_pgm(image, path):
+            assert os.getpid() != parent, "the map files are written by a child"
+            os._exit(3)
+
+        monkeypatch.setattr(harness, "save_map_pgm", exiting_pgm)
+        with pytest.raises(harness.ExperimentError, match="map writer exited with status 3"):
+            harness.run_experiment(small_config(out_dir=str(tmp_path / "run")))
+        assert_no_child_left()
+
+    def test_parent_error_after_the_fork(self, tmp_path, monkeypatch):
+        def failing_distance(*args, **kwargs):
+            raise ValueError("injected failure")
+
+        monkeypatch.setattr(harness, "distance_to_curves", failing_distance)
+        out = tmp_path / "run"
+        with pytest.raises(harness.ExperimentError, match="injected failure"):
+            harness.run_experiment(small_config(out_dir=str(out)))
+        assert not (out / "metrics.json").exists()
+        assert_no_child_left()
+
+    def test_unflushed_output_appears_once(self, tmp_path, capfd, monkeypatch):
+        # stdout block-buffered, as when it is a pipe or a file: text still in
+        # the buffer at the fork must not be written by the child as well
+        stdout = io.TextIOWrapper(open(os.dup(1), "wb"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            print("written before the run")
+            harness.run_experiment(small_config(out_dir=str(tmp_path / "run")))
+        finally:
+            stdout.close()
+        assert capfd.readouterr().out.count("written before the run") == 1
+        assert_no_child_left()
+
+    def test_inline_writer_writes_the_same_files(self, tmp_path, monkeypatch):
+        # a reduced fig1, written by the forked child and then in-process
+        cfg = replace(harness.preset_config("fig1"), grid=img.ImageGrid(nx=41, ny=41), frequencies=3)
+        harness.run_experiment(replace(cfg, out_dir=str(tmp_path / "forked")))
+        monkeypatch.delattr(harness.os, "fork")
+        harness.run_experiment(replace(cfg, out_dir=str(tmp_path / "inline")))
+        names = {p.name for p in (tmp_path / "inline").iterdir()}
+        assert {"map_mf.csv", "map_log_norm.csv", "map_wmf1.pgm", "metrics.json"} <= names
+        assert same_run_files(tmp_path / "forked", tmp_path / "inline")
 
 
 class TestConfigValidation:
