@@ -3,7 +3,9 @@
 Each multi-frequency functional is a sum over the scatterer points of one
 band integral.  Its closed form is envelope (J0^2 + J1^2) boundary terms,
 one vectorised evaluation over the scatterer radii, plus a remainder
-integral with no elementary closed form.  The remainder's scatterer sum is
+integral with no elementary closed form, all scaled by F/width.  One core
+evaluates that shape for MF, WMF(n) and LOG, which differ only in the
+boundary factor and the remainder integrand.  The remainder's scatterer sum is
 integrated as one function on (abscissae x scatterers) arrays, one adaptive
 Gauss-Legendre quadrature per search point, so the 1e-10 tolerances apply to
 that sum.  On the default band near the inclusion (omega r up to ~32) the
@@ -78,12 +80,6 @@ def _radii(z, scat: ScattererSet) -> np.ndarray:
     return np.hypot(diff[..., 0], diff[..., 1])
 
 
-def _per_point(func, z, *args):
-    # one scalar evaluation per search point of a trailing-(2) batch
-    z = np.asarray(z, dtype=float)
-    return np.array([func(p, *args) for p in z.reshape(-1, 2)]).reshape(z.shape[:-1])
-
-
 def analytic_sf(z, scat: ScattererSet, omega: float):
     """Single-frequency structure: sum of J0(omega |z - y_m|)^2.
 
@@ -96,12 +92,25 @@ def analytic_sf(z, scat: ScattererSet, omega: float):
     return float(vals) if np.ndim(vals) == 0 else vals
 
 
-def _boundary(weight, r: np.ndarray, band: BandLimits) -> float:
-    # sum over the radii r of weight(w) * (J0^2 + J1^2)(w r) from omega1 to omega_f
-    env = bessel_envelope(np.outer([band.omega1, band.omega_f], r))
-    return math.fsum(
-        np.concatenate([weight(band.omega_f) * env[1], -weight(band.omega1) * env[0]])
-    )
+def _structure(z, scat: ScattererSet, band: BandLimits, anti, rest):
+    # (F/width) * (boundary terms + remainder) of one band integral, per point:
+    # anti(w) * (J0^2 + J1^2)(w r) summed over the radii r from omega1 to
+    # omega_f, plus one quadrature of rest(w, x = w r), the remainder integrand
+    # already summed over the scatterers; either part may be None
+    z = np.asarray(z, dtype=float)
+    if z.ndim > 1:
+        values = [_structure(p, scat, band, anti, rest) for p in z.reshape(-1, 2)]
+        return np.array(values).reshape(z.shape[:-1])
+    r = _radii(z, scat)
+    total = 0.0
+    if anti is not None:
+        env = bessel_envelope(np.outer([band.omega1, band.omega_f], r))
+        total = math.fsum(
+            np.concatenate([anti(band.omega_f) * env[1], -anti(band.omega1) * env[0]])
+        )
+    if rest is not None:
+        total += quad_adaptive(lambda w: rest(w, w[:, None] * r), band.omega1, band.omega_f)
+    return band.count / band.width * total
 
 
 def analytic_mf(z, scat: ScattererSet, band: BandLimits) -> float:
@@ -111,38 +120,27 @@ def analytic_mf(z, scat: ScattererSet, band: BandLimits) -> float:
     count/band-width; equals (F/width) * integral of J0(omega r)^2 d omega.
     A trailing-(2) batch of search points gives one value per point.
     """
-    if np.ndim(z) > 1:
-        return _per_point(analytic_mf, z, scat, band)
-    r = _radii(np.asarray(z, dtype=float), scat)
-    rest = quad_adaptive(
-        lambda w: (bessel_j(1, w[:, None] * r) ** 2).sum(axis=1), band.omega1, band.omega_f
+    return _structure(
+        z, scat, band, lambda w: w, lambda w, x: (bessel_j(1, x) ** 2).sum(axis=1)
     )
-    return band.count / band.width * (_boundary(lambda w: w, r, band) + rest)
 
 
 def analytic_wmf(z, scat: ScattererSet, band: BandLimits, n: int = 1) -> float:
     """Power-weighted structure: (F/width) * integral of omega^n J0(omega r)^2.
 
     The n = 1 remainder vanishes identically (the x^2/2 envelope
-    antiderivative), so that case is fully closed-form.  A trailing-(2)
-    batch of search points gives one value per point.
+    antiderivative), so that case is fully closed-form; n = 0 is MF.  A
+    trailing-(2) batch of search points gives one value per point.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError(f"weight power must be a nonnegative integer, got {n!r}")
-    if np.ndim(z) > 1:
-        return _per_point(analytic_wmf, z, scat, band, n)
     if n == 0:
         return analytic_mf(z, scat, band)
-    r = _radii(np.asarray(z, dtype=float), scat)
     if n == 1:
-        total = _boundary(lambda w: 0.5 * w**2, r, band)
-    else:
-        total = quad_adaptive(
-            lambda w: w**n * (bessel_j(0, w[:, None] * r) ** 2).sum(axis=1),
-            band.omega1,
-            band.omega_f,
-        )
-    return band.count / band.width * total
+        return _structure(z, scat, band, lambda w: 0.5 * w**2, None)
+    return _structure(
+        z, scat, band, None, lambda w, x: w**n * (bessel_j(0, x) ** 2).sum(axis=1)
+    )
 
 
 def analytic_log(z, scat: ScattererSet, band: BandLimits) -> float:
@@ -154,18 +152,12 @@ def analytic_log(z, scat: ScattererSet, band: BandLimits) -> float:
     """
     if band.omega1 <= 1.0:
         raise ValueError(f"log weighting needs omega1 > 1, got {band.omega1}")
-    if np.ndim(z) > 1:
-        return _per_point(analytic_log, z, scat, band)
-    r = _radii(np.asarray(z, dtype=float), scat)
 
-    def remainder(w):
-        x = w[:, None] * r
-        return (bessel_j(0, x) ** 2 - (np.log(w)[:, None] - 1.0) * bessel_j(1, x) ** 2).sum(
-            axis=1
-        )
+    def rest(w, x):  # the remainder negated, as the core adds it
+        ln1 = np.log(w)[:, None] - 1.0
+        return (ln1 * bessel_j(1, x) ** 2 - bessel_j(0, x) ** 2).sum(axis=1)
 
-    rest = quad_adaptive(remainder, band.omega1, band.omega_f)
-    return band.count / band.width * (_boundary(lambda w: w * math.log(w), r, band) - rest)
+    return _structure(z, scat, band, lambda w: w * math.log(w), rest)
 
 
 def e1_e2(r: float, band: BandLimits) -> tuple[float, float]:

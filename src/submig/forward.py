@@ -118,12 +118,11 @@ class MsrMatrix:
 
 
 def _contrast_terms(inclusion: ThinInclusion) -> tuple[float, float, float]:
-    eps0 = inclusion.background_permittivity
+    # against the unit background: eps0 = mu0 = 1
     mu = inclusion.permeability
-    mu0 = inclusion.background_permeability
-    c0 = inclusion.permittivity - eps0
-    ev_t = 2.0 * (1.0 / mu - 1.0 / mu0)
-    ev_n = 2.0 * (1.0 / mu0 - mu / mu0**2)
+    c0 = inclusion.permittivity - 1.0
+    ev_t = 2.0 * (1.0 / mu - 1.0)
+    ev_n = 2.0 * (1.0 - mu)
     return c0, ev_t, ev_n
 
 

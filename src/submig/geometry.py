@@ -110,24 +110,23 @@ def get_curve(name: str) -> ParametricCurve:
 class ThinInclusion:
     """Tubular neighborhood of a supporting curve with contrasting materials.
 
-    Equal inclusion/background parameters are admitted so that degenerate
-    zero-contrast configurations remain constructible for testing.
+    The background has unit permittivity and permeability.  Equal inclusion
+    and background parameters are admitted so that degenerate zero-contrast
+    configurations remain constructible for testing.
     """
 
     curve: ParametricCurve
     half_thickness: float = 0.015
     permittivity: float = 5.0
     permeability: float = 5.0
-    background_permittivity: float = 1.0
-    background_permeability: float = 1.0
 
     def __post_init__(self):
         if not self.half_thickness > 0.0:
             raise ValueError("half_thickness must be positive")
-        if not 0.0 < self.background_permittivity <= self.permittivity:
-            raise ValueError("requires permittivity >= background_permittivity > 0")
-        if not 0.0 < self.background_permeability <= self.permeability:
-            raise ValueError("requires permeability >= background_permeability > 0")
+        if not self.permittivity >= 1.0:
+            raise ValueError("requires permittivity >= 1, the background's")
+        if not self.permeability >= 1.0:
+            raise ValueError("requires permeability >= 1, the background's")
 
 
 @dataclass(frozen=True)

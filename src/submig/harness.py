@@ -3,11 +3,11 @@
 A run assembles one response matrix per frequency (summed over inclusions),
 optionally adds calibrated noise, factors each matrix, evaluates the
 requested imaging functionals, and scores each map against the true curves
-by sidelobe energy and localization error.  The multi-frequency functionals
-combine one pass of per-frequency subspace correlations, and every map is
-scored against one distance field of the grid.  A configuration that cannot
-run is rejected when it is built.  All outputs are deterministic for a fixed
-configuration and seed.
+by sidelobe energy and localization error.  Every functional is read off
+one pass of per-frequency subspace correlations (an SF-only run computes the
+finest wavelength's alone), and every map is scored against one distance
+field of the grid.  A configuration that cannot run is rejected when it is
+built.  All outputs are deterministic for a fixed configuration and seed.
 
 When a run persists, the map files (most of its bytes) are written by a
 forked child process while this one computes the distance field and the
@@ -143,8 +143,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer, got {count!r}")
         for tag in self.functionals:
             try:
-                if tag != "SF":
-                    _weights(tag, [])  # map_multi's parser; the LOG band is checked below
+                _weights(tag, [])  # map_multi's parser; the LOG band is checked below
             except ValueError:
                 raise ValueError(f"unknown functional tag {tag!r}") from None
         if not self.functionals:
@@ -377,6 +376,8 @@ def _config_hash(cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 # map quality metrics
 
+# samples per curve, taken in blocks of consecutive samples
+_CURVE_SAMPLES = 2001
 _ANCHOR_BLOCK = 64
 
 
@@ -384,16 +385,17 @@ def _squared_distances(pts: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     return (pts[:, None, 0] - anchors[..., 0]) ** 2 + (pts[:, None, 1] - anchors[..., 1]) ** 2
 
 
-def distance_to_curves(points: np.ndarray, curves, samples_per_curve: int = 2001) -> np.ndarray:
+def distance_to_curves(points: np.ndarray, curves) -> np.ndarray:
     """Distance from each point to the nearest of the densely sampled curves.
 
-    Exact: equal, bit for bit, to the minimum over every sample.  Samples are
+    Each curve is sampled at ``_CURVE_SAMPLES`` equispaced parameters.  Exact:
+    equal, bit for bit, to the minimum over every sample.  Samples are
     grouped in blocks of consecutive points along each curve, and only the
     blocks that can hold the nearest sample are evaluated.
     """
     blocks = []
     for curve in curves:
-        s = np.linspace(curve.s_min, curve.s_max, samples_per_curve)
+        s = np.linspace(curve.s_min, curve.s_max, _CURVE_SAMPLES)
         anchor = np.asarray(curve.position(s), dtype=float)
         # pad with copies of the last sample: duplicates leave every minimum unchanged
         pad = -len(anchor) % _ANCHOR_BLOCK
@@ -490,26 +492,20 @@ def _run(cfg: ExperimentConfig) -> ExperimentReport:
             k_one = assemble_msr(dirs, float(omega), inclusion)
             entries = k_one.entries if entries is None else entries + k_one.entries
         k = MsrMatrix(omega=float(omega), entries=entries, dirs=dirs)
-        if cfg.snr_db != math.inf:
-            k = add_awgn(k, cfg.snr_db, derive_stream_seed(cfg.seed, index))
+        # an unchanged copy at snr_db = inf
+        k = add_awgn(k, cfg.snr_db, derive_stream_seed(cfg.seed, index))
         ks.append((k, svd(k)))
 
-    # each frequency's correlation once, shared by every multi-frequency tag
-    omegas = tuple(float(w) for w in freqs.omegas)
-    correlations = None
-    if any(tag != "SF" for tag in cfg.functionals):
+    if cfg.functionals == ("SF",):
+        # the finest wavelength's correlation alone
+        maps = {"SF": map_single(*ks[-1], cfg.grid, steering, cfg.tau)}
+    else:
+        # each frequency's correlation once, shared by every tag
         correlations = subspace_correlations(ks, cfg.grid, steering, cfg.tau)
-    maps: dict[str, ImageMap] = {}
-    for tag in cfg.functionals:
-        if tag != "SF":
-            maps[tag] = map_multi(correlations, omegas, cfg.grid, tag)
-        elif correlations is not None:
-            # single-frequency map at the finest wavelength, from the shared pass
-            maps[tag] = ImageMap(cfg.grid, np.abs(correlations[-1]), tag, omegas[-1:])
-        else:
-            maps[tag] = map_single(ks[-1][0], ks[-1][1], cfg.grid, steering, cfg.tau)
-    # released before the distance field, which sets the run's peak memory
-    del correlations
+        omegas = tuple(float(w) for w in freqs.omegas)
+        maps = {tag: map_multi(correlations, omegas, cfg.grid, tag) for tag in cfg.functionals}
+        # released before the distance field, which sets the run's peak memory
+        del correlations
 
     if cfg.out_dir is None:
         return _score(cfg, inclusions, freqs, ks, maps)

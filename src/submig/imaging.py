@@ -5,14 +5,14 @@ c_f(z) = w(z)^H U_m V_m^H conj(w(z)) of a unit-norm steering vector with the
 thresholded signal subspace of the response matrix.  SF is |c_F| at the
 finest wavelength; MF, WMF(n) and LOG are |sum_f xi_f c_f| with weights
 xi_f = 1/F, omega_f^n and ln omega_f.  ``subspace_correlations`` computes
-every c_f once, and ``map_multi`` combines that one array into each
-weighted functional.  Steering vectors are built from separable
-x and y phase tables, and since the bilinear form sees only the symmetric
-part of U_m V_m^H, each c_f is one matrix product over direction pairs
-j <= l: a (ny, pairs) table of weighted y products times a (pairs, nx) table
-of x products.  The pairs go in fixed-size blocks, so memory stays bounded
-on large grids whatever the direction count; values agree with the pointwise
-formula to rounding.
+every c_f once, and ``map_multi`` turns that one array into any of the
+four functionals, named by one tag vocabulary; ``map_single`` is SF of one
+matrix.  Steering vectors are built from separable x and y phase tables,
+and since the bilinear form sees only the symmetric part of U_m V_m^H, each
+c_f is one matrix product over direction pairs j <= l: a (ny, pairs) table
+of weighted y products times a (pairs, nx) table of x products.  The pairs
+go in fixed-size blocks, so memory stays bounded on large grids whatever
+the direction count; values agree with the pointwise formula to rounding.
 """
 
 from __future__ import annotations
@@ -195,9 +195,9 @@ def map_single(
     cfg: SteeringConfig | None = None,
     tau: float = DEFAULT_RANK_THRESHOLD,
 ) -> ImageMap:
-    """Single-frequency subspace migration map."""
-    values = np.abs(subspace_correlations([(k, factors)], grid, cfg, tau)[0])
-    return ImageMap(grid=grid, values=values, tag="SF", omegas=(float(k.omega),))
+    """Single-frequency subspace migration map: SF of the one matrix."""
+    correlations = subspace_correlations([(k, factors)], grid, cfg, tau)
+    return map_multi(correlations, (k.omega,), grid, "SF")
 
 
 def subspace_correlations(
@@ -224,7 +224,10 @@ def subspace_correlations(
     return out
 
 
-def _weights(tag: str, omegas: list[float]) -> np.ndarray:
+def _weights(tag: str, omegas: list[float]) -> np.ndarray | None:
+    # the one tag parser: a tag's weights xi_f over omegas, None for SF (|c_F| alone)
+    if tag == "SF":
+        return None
     if tag == "MF":
         return np.ones(len(omegas))
     if tag == "LOG":
@@ -239,7 +242,7 @@ def _weights(tag: str, omegas: list[float]) -> np.ndarray:
         power == str(int(power))
     ):
         return np.asarray(omegas, dtype=float) ** int(power)
-    raise ValueError(f"unknown weight {tag!r}; expected MF, WMF(n), or LOG")
+    raise ValueError(f"unknown weight {tag!r}; expected SF, MF, WMF(n), or LOG")
 
 
 def map_multi(
@@ -248,12 +251,13 @@ def map_multi(
     grid: ImageGrid,
     weight: str = "MF",
 ) -> ImageMap:
-    """Multi-frequency subspace migration, weighted as MF, WMF(n), or LOG.
+    """Subspace migration map SF, MF, WMF(n) or LOG from the correlations.
 
     ``correlations`` is ``subspace_correlations(ks, grid, cfg, tau)`` and
-    ``omegas`` the frequencies of ``ks``, in the same order.  The unweighted
-    map (MF) carries the 1/F normalization; the weighted maps are raw
-    magnitudes of the weighted double sum.
+    ``omegas`` the frequencies of ``ks``, in the same order.  SF is |c_F|,
+    tagged with the last frequency alone.  The unweighted map (MF) carries
+    the 1/F normalization; the weighted maps are raw magnitudes of the
+    weighted double sum.
     """
     omegas = [float(w) for w in omegas]
     xi = _weights(weight, omegas)
@@ -262,6 +266,8 @@ def map_multi(
             f"correlations of shape {np.shape(correlations)} do not match "
             f"{len(omegas)} frequencies on a {grid.ny}x{grid.nx} grid"
         )
+    if xi is None:
+        return ImageMap(grid, np.abs(correlations[-1]), weight, (omegas[-1],))
     total = np.zeros((grid.ny, grid.nx), dtype=complex)
     for c_f, xi_f in zip(correlations, xi):
         total += xi_f * c_f

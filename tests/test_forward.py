@@ -18,7 +18,7 @@ def far_field_entry(j, l, dirs, omega, inclusion, samples):
     if not (0 <= j < n and 0 <= l < n):
         raise IndexError(f"direction indices ({j}, {l}) out of range for N={n}")
     tj, tl = dirs.thetas[j], dirs.thetas[l]
-    eps0, mu0 = inclusion.background_permittivity, inclusion.background_permeability
+    eps0, mu0 = 1.0, 1.0  # the unit background
     mu = inclusion.permeability
     c0 = inclusion.permittivity - eps0
     ev_t = 2.0 * (1.0 / mu - 1.0 / mu0)

@@ -201,7 +201,7 @@ class TestThinInclusion:
 
     def test_zero_contrast_constructible(self):
         inc = geo.ThinInclusion(curve=unit_segment(), permittivity=1.0, permeability=1.0)
-        assert inc.permittivity == inc.background_permittivity
+        assert inc.permittivity == 1.0
 
     def test_irregular_curve_rejected(self):
         with pytest.raises(ValueError):

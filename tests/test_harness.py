@@ -77,10 +77,11 @@ class TestDistanceToCurves:
             got = harness.distance_to_curves(pts, curves)
             assert np.array_equal(got, brute_force_distance(pts, curves))
 
-    def test_sample_count_not_a_block_multiple(self):
+    def test_sample_count_not_a_block_multiple(self, monkeypatch):
         pts = np.array([[0.0, 0.0], [0.4, -0.3], [5.0, 5.0]])
         for samples in (2, 63, 65, 130):
-            got = harness.distance_to_curves(pts, SIGMA12, samples)
+            monkeypatch.setattr(harness, "_CURVE_SAMPLES", samples)
+            got = harness.distance_to_curves(pts, SIGMA12)
             assert np.array_equal(got, brute_force_distance(pts, SIGMA12, samples))
 
     def test_points_on_samples_are_zero(self):
@@ -279,6 +280,20 @@ class TestRunExperiment:
         assert set(report.maps) == {"MF", "WMF(1)", "LOG"}
         assert calls == {"correlation": cfg.frequencies, "distance": 1}
 
+    def test_sf_only_run_correlates_one_frequency(self, monkeypatch):
+        calls = 0
+        correlation = img._subspace_correlation
+
+        def count_correlation(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return correlation(*args, **kwargs)
+
+        monkeypatch.setattr(img, "_subspace_correlation", count_correlation)
+        report = harness.run_experiment(small_config(frequencies=10, functionals=("SF",)))
+        assert calls == 1
+        assert set(report.maps) == {"SF"}
+
     def test_sf_functional_uses_finest_wavelength(self):
         cfg = small_config(functionals=("SF",))
         report = harness.run_experiment(cfg)
@@ -401,6 +416,27 @@ class TestMapWriter:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "tag, known",
+        [("SF", True), ("MF", True), ("WMF(0)", True), ("WMF(12)", True), ("LOG", True),
+         ("WMF(01)", False), ("sf", False), ("MF\n", False), ("", False)],
+        ids=["SF", "MF", "WMF0", "WMF12", "LOG", "WMF01", "sf", "MF-newline", "empty"],
+    )
+    def test_config_and_map_multi_share_one_vocabulary(self, tag, known):
+        grid = img.ImageGrid(nx=3, ny=3)
+        correlations = np.ones((1, 3, 3), dtype=complex)
+
+        def accepts(build):
+            try:
+                build()
+            except ValueError:
+                return False
+            return True
+
+        config_ok = accepts(lambda: harness.ExperimentConfig(functionals=(tag,)))
+        map_ok = accepts(lambda: img.map_multi(correlations, [2 * math.pi / 0.5], grid, tag))
+        assert config_ok == map_ok == known
+
     @pytest.mark.parametrize("tau", [0.0, 1.0, -0.1, 1.5, math.nan])
     def test_tau_in_open_unit_interval(self, tau):
         with pytest.raises(ValueError, match="tau"):

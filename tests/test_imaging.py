@@ -236,9 +236,10 @@ class TestMapMulti:
         grid = img.ImageGrid(nx=11, ny=11)
         corr = np.zeros((1, 11, 11), dtype=complex)
         # the run's tags are the only vocabulary: the old weight names are unknown,
-        # and so are a trailing newline, a non-ASCII digit and a padded power
-        bad = ("cubic", "one", "power(0)", "log", "WMF()", "WMF(-1)", "SF", "MF\n",
-               "WMF(1)\n", "WMF(\u0663)", "WMF(01)", "WMF(00)")
+        # and so are a trailing newline, a non-ASCII digit, a padded power and
+        # near-misses of SF
+        bad = ("cubic", "one", "power(0)", "log", "WMF()", "WMF(-1)", "MF\n",
+               "WMF(1)\n", "WMF(\u0663)", "WMF(01)", "WMF(00)", "sf", "SF(1)", "SF\n")
         for weight in bad:
             with pytest.raises(ValueError, match="unknown weight"):
                 img.map_multi(corr, [OMEGA_05], grid, weight)
@@ -260,6 +261,19 @@ class TestMapMulti:
         ))
         assert np.max(np.abs(got.values - want)) <= 1e-13 * want.max()
         assert (got.tag, got.omegas) == (weight, tuple(omegas))
+
+    def test_sf_is_the_last_correlation(self):
+        inc = sigma1_inclusion()
+        _, ks = pipeline(inc, [0.5, 0.4, 0.3], snr_db=10.0, seed=1)
+        grid = img.ImageGrid(nx=17, ny=13)
+        corr = img.subspace_correlations(ks, grid, tau=0.05)
+        omegas = [k.omega for k, _ in ks]
+        got = img.map_multi(corr, omegas, grid, "SF")
+        assert np.array_equal(got.values, np.abs(corr[-1]))
+        assert (got.tag, got.omegas) == ("SF", (omegas[-1],))
+        single = img.map_single(*ks[-1], grid, tau=0.05)
+        assert np.array_equal(got.values, single.values)
+        assert (single.tag, single.omegas) == (got.tag, got.omegas)
 
     def test_mismatched_correlations_rejected(self):
         inc = sigma1_inclusion()
