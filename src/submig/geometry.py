@@ -34,7 +34,8 @@ _S_EPS = 1e-12
 class ParametricCurve:
     """Regular parametric curve on [s_min, s_max]; subclasses implement the maps.
 
-    A curve is an immutable, hashable value: :func:`curve_length` caches on it.
+    A curve is an immutable, hashable value: :func:`curve_length` and
+    :func:`sample_curve` cache on it.
     """
 
     s_min: float
@@ -208,11 +209,24 @@ def _invert_arclength(curve, s_nodes, cum, target: float) -> float:
     raise ConvergenceError(f"arclength inversion failed at target {target}", 0.5 * (a + b))
 
 
-def sample_curve(inclusion: ThinInclusion, m: int) -> list[CurveSample]:
-    """Midpoints of m equal-arclength segments, each weighted |sigma|/m."""
+def sample_curve(inclusion: ThinInclusion, m: int) -> tuple[CurveSample, ...]:
+    """Midpoints of m equal-arclength segments, each weighted |sigma|/m.
+
+    Memoised on the curve and m, the only inputs the samples depend on: every
+    call with them returns the same tuple, whose arrays are read-only.
+    """
     if m < 1:
         raise ValueError(f"segment count must be >= 1, got {m}")
-    curve = inclusion.curve
+    return _sample_curve(inclusion.curve, m)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@functools.lru_cache(maxsize=64)
+def _sample_curve(curve: ParametricCurve, m: int) -> tuple[CurveSample, ...]:
     total = curve_length(curve)
     s_nodes, cum = _arclength_table(curve)
     # align the table with the quadrature-based total length
@@ -225,11 +239,11 @@ def sample_curve(inclusion: ThinInclusion, m: int) -> list[CurveSample]:
         t, n = frames(curve, s_star)
         samples.append(
             CurveSample(
-                point=np.asarray(curve.position(s_star), dtype=float),
-                tangent=t,
-                normal=n,
+                point=_read_only(np.array(curve.position(s_star), dtype=float)),
+                tangent=_read_only(t),
+                normal=_read_only(n),
                 weight=weight,
                 s=s_star,
             )
         )
-    return samples
+    return tuple(samples)

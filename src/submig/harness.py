@@ -5,20 +5,23 @@ optionally adds calibrated noise, factors each matrix, evaluates the
 requested imaging functionals, and scores each map against the true curves
 by sidelobe energy and localization error.  Every functional is read off
 one pass of per-frequency subspace correlations (an SF-only run computes the
-finest wavelength's alone), and every map is scored against one distance
-field of the grid.  A configuration that cannot run is rejected when it is
-built.  All outputs are deterministic for a fixed configuration and seed.
+finest wavelength's alone).  Every map is scored against one field of the
+grid that is exact wherever the metrics read it: bounds decide most points'
+side of the tube, and one ``distance_to_curves`` call gives the exact
+distance at the rest and at each map's top points.  A configuration that
+cannot run is rejected when it is built.  All outputs are deterministic for
+a fixed configuration and seed.
 
 When a run persists, the map files (most of its bytes) are written by a
-forked child process while this one computes the distance field and the
-metrics and writes the other files.  The fork is safe with BLAS threads
-alive in this process: the child runs only Python formatting, numpy
-elementwise operations and file writes, so it calls no BLAS and takes no
-lock that another thread could hold.  Python 3.12 and later emit a
-``DeprecationWarning`` on ``fork()`` in a process with several threads, as
-when OpenBLAS has started its pool; the tests have been run only on 3.11,
-so that case is untested.  Without ``os.fork`` the same writer runs in this
-process.
+forked child process while this one scores the maps and writes the other
+files; this one then writes the last third of the tags' map files.  The
+fork is safe with BLAS threads alive in this process: the child runs only
+Python formatting, numpy elementwise operations and file writes, so it
+calls no BLAS and takes no lock that another thread could hold.  Python
+3.12 and later emit a ``DeprecationWarning`` on ``fork()`` in a process
+with several threads, as when OpenBLAS has started its pool; the tests have
+been run only on 3.11, so that case is untested.  Without ``os.fork`` this
+process writes every map file.
 """
 
 from __future__ import annotations
@@ -379,20 +382,17 @@ def _config_hash(cfg: ExperimentConfig) -> str:
 # samples per curve, taken in blocks of consecutive samples
 _CURVE_SAMPLES = 2001
 _ANCHOR_BLOCK = 64
+# absorbs the rounding of a block bound and of the distance it is compared with
+_BOUND_SLACK = 1e-9
 
 
 def _squared_distances(pts: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     return (pts[:, None, 0] - anchors[..., 0]) ** 2 + (pts[:, None, 1] - anchors[..., 1]) ** 2
 
 
-def distance_to_curves(points: np.ndarray, curves) -> np.ndarray:
-    """Distance from each point to the nearest of the densely sampled curves.
-
-    Each curve is sampled at ``_CURVE_SAMPLES`` equispaced parameters.  Exact:
-    equal, bit for bit, to the minimum over every sample.  Samples are
-    grouped in blocks of consecutive points along each curve, and only the
-    blocks that can hold the nearest sample are evaluated.
-    """
+def _anchor_blocks(curves) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # every curve's samples in blocks of consecutive ones, with each block's
+    # centre c_j and radius r_j, the largest distance of its samples from c_j
     blocks = []
     for curve in curves:
         s = np.linspace(curve.s_min, curve.s_max, _CURVE_SAMPLES)
@@ -404,9 +404,24 @@ def distance_to_curves(points: np.ndarray, curves) -> np.ndarray:
     blocks = np.concatenate(blocks, axis=0)
     centres = blocks.mean(axis=1)
     radii = np.sqrt(((blocks - centres[:, None, :]) ** 2).sum(axis=-1)).max(axis=1)
+    return blocks, centres, radii
+
+
+def distance_to_curves(points: np.ndarray, curves) -> np.ndarray:
+    """Distance from each point to the nearest of the densely sampled curves.
+
+    Each curve is sampled at ``_CURVE_SAMPLES`` equispaced parameters.  Exact:
+    equal, bit for bit, to the minimum over every sample, so a point's
+    distance does not depend on the other points passed with it.  Samples are
+    grouped in blocks of consecutive points along each curve, and only the
+    blocks that can hold the nearest sample are evaluated.
+    """
+    blocks, centres, radii = _anchor_blocks(curves)
     pts = np.asarray(points, dtype=float)
     out = np.empty(pts.shape[0])
-    chunk = 2048
+    # near a curve a point keeps several blocks, and a pass holds
+    # (points x kept blocks x _ANCHOR_BLOCK) values
+    chunk = 256
     for start in range(0, pts.shape[0], chunk):
         block = pts[start : start + chunk]
         to_centre = np.sqrt(_squared_distances(block, centres))
@@ -415,15 +430,42 @@ def distance_to_curves(points: np.ndarray, curves) -> np.ndarray:
         # triangle inequality: every sample a of block j has
         # |p - a| >= |p - c_j| - |a - c_j| >= |p - c_j| - r_j, so a block whose
         # bound exceeds a distance already attained cannot hold the nearest
-        # sample; the slack absorbs the rounding of the bound and of upper.
-        # The nearest block is always kept, so every point has one to reduce.
-        keep = to_centre - radii <= upper[:, None] + 1e-9
+        # sample.  The nearest block is always kept, so every point has one to
+        # reduce.
+        keep = to_centre - radii <= upper[:, None] + _BOUND_SLACK
         keep[np.arange(block.shape[0]), nearest] = True
         row, col = np.nonzero(keep)
         d2 = _squared_distances(block[row], blocks[col]).min(axis=1)
         first = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
         out[start : start + block.shape[0]] = np.sqrt(np.minimum.reduceat(d2, first))
     return out
+
+
+def _tube_field(points: np.ndarray, curves, tube_radius: float, exact) -> np.ndarray:
+    """A distance field that scores like ``distance_to_curves(points, curves)``.
+
+    Every entry lies on the same side of ``tube_radius`` as the exact
+    distance, and the entries at the indices ``exact`` are the exact
+    distances, bit for bit.  The anchor blocks bound each distance,
+    ``min_j(|p - c_j| - r_j) <= d(p) <= min_j(|p - c_j| + r_j)``; a point
+    whose bounds lie on one side of the tube takes the bound on that side.
+    One ``distance_to_curves`` call gives the rest, and the ``exact`` points.
+    """
+    _, centres, radii = _anchor_blocks(curves)
+    pts = np.asarray(points, dtype=float)
+    lower = np.full(pts.shape[0], np.inf)
+    upper = np.full(pts.shape[0], np.inf)
+    # block by block, so the pass holds a few arrays of one value per point
+    for (cx, cy), radius in zip(centres, radii):
+        to_centre = np.sqrt((pts[:, 0] - cx) ** 2 + (pts[:, 1] - cy) ** 2)
+        np.minimum(lower, to_centre - radius, out=lower)
+        np.minimum(upper, to_centre + radius, out=upper)
+    outside = lower > tube_radius + _BOUND_SLACK
+    field = np.where(outside, lower, upper)
+    refine = ~outside & (upper > tube_radius - _BOUND_SLACK)
+    refine[exact] = True
+    field[refine] = distance_to_curves(pts[refine], curves)
+    return field
 
 
 def _check_distance_field(image: ImageMap, dist) -> np.ndarray:
@@ -439,7 +481,9 @@ def sidelobe_energy(image: ImageMap, dist, tube_radius: float) -> float:
     """Fraction of total map mass farther than tube_radius from every curve.
 
     ``dist`` is the grid's distance field,
-    ``distance_to_curves(image.grid.points(), curves)``.
+    ``distance_to_curves(image.grid.points(), curves)``.  Only whether each
+    entry exceeds ``tube_radius`` is read, so any field on the same side of
+    the tube as that one at every point gives the same value.
     """
     if not tube_radius > 0.0:
         raise ValueError(f"tube_radius must be positive, got {tube_radius}")
@@ -451,17 +495,23 @@ def sidelobe_energy(image: ImageMap, dist, tube_radius: float) -> float:
     return float(vals[dist > tube_radius].sum() / total)
 
 
+def _top_points(image: ImageMap, k: int) -> np.ndarray:
+    # flat indices of the k largest values, ties in grid order; copied, as a
+    # view would keep the ordering of the whole grid alive
+    return np.argsort(-image.values.ravel(), kind="stable")[:k].copy()
+
+
 def localization_error(image: ImageMap, dist, k: int) -> float:
     """Mean distance from the k largest-value grid points to the nearest curve.
 
-    ``dist`` is the grid's distance field, as for ``sidelobe_energy``.
+    ``dist`` is the grid's distance field, as for ``sidelobe_energy``.  Only
+    its entries at those k points are read (ties between equal values go to
+    the point first in grid order), so a field exact there gives the same value.
     """
-    vals = image.values.ravel()
-    if not 1 <= k <= vals.size:
-        raise ValueError(f"k must lie in [1, {vals.size}], got {k}")
+    if not 1 <= k <= image.values.size:
+        raise ValueError(f"k must lie in [1, {image.values.size}], got {k}")
     dist = _check_distance_field(image, dist)
-    top = np.argsort(-vals, kind="stable")[:k]
-    return float(dist[top].mean())
+    return float(dist[_top_points(image, k)].mean())
 
 
 # ---------------------------------------------------------------------------
@@ -511,12 +561,13 @@ def _run(cfg: ExperimentConfig) -> ExperimentReport:
         return _score(cfg, inclusions, freqs, ks, maps)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with _map_writer(maps, out):
+    with _map_writer(maps, out) as own_maps:
         report = _score(cfg, inclusions, freqs, ks, maps)
         save_config(cfg, out / "config.txt")
         for index, (k, factors) in enumerate(ks):
             save_msr(k, out / f"msr_f{index:02d}.txt")
             save_spectrum_csv(factors, k.omega, out / f"spectrum_f{index:02d}.csv")
+        _save_maps(own_maps, out)
     # last, once every map is written: a run directory without it is incomplete
     payload = {
         "format": "submig-report/1",
@@ -534,10 +585,15 @@ def _run(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _score(cfg: ExperimentConfig, inclusions, freqs, ks, maps) -> ExperimentReport:
-    dist = distance_to_curves(cfg.grid.points(), [inc.curve for inc in inclusions])
     wavelength = float(freqs.wavelengths[-1])  # lambda_max alone for F = 1
     tube = wavelength / 2.0
     k_peaks = sum(effective_segment_count(inc.curve, wavelength) for inc in inclusions)
+    # exact where either metric reads it: the side of the tube everywhere,
+    # the distance itself at each map's top points
+    tops = [_top_points(image, k_peaks) for image in maps.values()]
+    dist = _tube_field(
+        cfg.grid.points(), [inc.curve for inc in inclusions], tube, np.concatenate(tops)
+    )
     metrics: dict[str, dict[str, float]] = {}
     for tag, image in maps.items():
         peak_flat = int(np.argmax(image.values))
@@ -572,24 +628,28 @@ def _save_maps(maps: dict[str, ImageMap], out: Path) -> None:
 
 @contextlib.contextmanager
 def _map_writer(maps: dict[str, ImageMap], out: Path):
-    """Write every map's files into ``out`` alongside the ``with`` block.
+    """Write the maps' files into ``out``, shared with the ``with`` block.
 
-    A forked child writes them while the block runs.  Leaving the block reaps
-    the child, also when the block raises; after a clean block the child's
-    error is raised here with the type and message writing in this process
-    would have raised.  The child is fork-safe with BLAS threads alive: it
-    runs only Python formatting, numpy elementwise operations and file
-    writes, so it calls no BLAS and takes no lock another thread could hold.
-    It leaves by ``os._exit``, so it neither flushes the buffers it inherited
-    nor runs exit handlers.  Python 3.12+ warns (``DeprecationWarning``) on
-    ``fork()`` while other threads are alive; untested, as the tests run on
-    3.11.  Without ``os.fork`` the maps are written in this process when the
-    block ends without an error.
+    A forked child writes the files of every tag but the last ``T // 3`` of
+    the ``T`` tags while the block runs.  The block receives those last maps
+    and writes them with ``_save_maps`` once its own work is done.  One tag's
+    three files take about as long as that work, so at three tags the two
+    processes finish close together.  Leaving the block reaps the child,
+    also when the block raises; after a clean block the child's error is
+    raised here with the type and message writing in this process would have
+    raised.  The child is fork-safe with BLAS threads alive: it runs only
+    Python formatting, numpy elementwise operations and file writes, so it
+    calls no BLAS and takes no lock another thread could hold.  It leaves by
+    ``os._exit``, so it neither flushes the buffers it inherited nor runs
+    exit handlers.  Python 3.12+ warns (``DeprecationWarning``) on ``fork()``
+    while other threads are alive; untested, as the tests run on 3.11.
+    Without ``os.fork`` the block receives every map.
     """
     if not hasattr(os, "fork"):
-        yield
-        _save_maps(maps, out)
+        yield maps
         return
+    tags = list(maps)
+    split = len(tags) - len(tags) // 3
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -601,7 +661,7 @@ def _map_writer(maps: dict[str, ImageMap], out: Path):
         status = 1
         try:
             os.close(read_fd)
-            _save_maps(maps, out)
+            _save_maps({tag: maps[tag] for tag in tags[:split]}, out)
             status = 0
         except BaseException as err:
             _send_error(write_fd, err)
@@ -609,7 +669,7 @@ def _map_writer(maps: dict[str, ImageMap], out: Path):
             os._exit(status)
     os.close(write_fd)
     try:
-        yield
+        yield {tag: maps[tag] for tag in tags[split:]}
     finally:
         # read to the end first: the child may block on a full pipe until then
         try:

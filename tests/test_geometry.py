@@ -176,6 +176,17 @@ class TestSampleCurve:
         with pytest.raises(ValueError):
             geo.sample_curve(geo.ThinInclusion(curve=unit_segment()), 0)
 
+    def test_memoised_on_curve_and_count(self):
+        curve = geo.get_curve("sigma2")
+        first = geo.sample_curve(geo.ThinInclusion(curve=curve), 6)
+        # other materials, the same curve and count: the same samples
+        assert geo.sample_curve(geo.ThinInclusion(curve=curve, permittivity=9.0), 6) is first
+        assert geo.sample_curve(geo.ThinInclusion(curve=curve), 7) is not first
+        for smp in first:
+            for array in (smp.point, smp.tangent, smp.normal):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0
+
     @given(st.integers(1, 12))
     @settings(max_examples=12, deadline=None)
     def test_gap_uniformity_property(self, m):

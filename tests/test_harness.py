@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -88,6 +89,78 @@ class TestDistanceToCurves:
         c = SIGMA1[0]
         pts = np.asarray(c.position(np.linspace(c.s_min, c.s_max, 2001)))[::97]
         assert np.all(harness.distance_to_curves(pts, SIGMA1) == 0.0)
+
+    def test_memory_bounded_by_point_chunks(self):
+        # fig1's grid: near the curve a point keeps several blocks of samples,
+        # and 2048-point passes peaked at ~22 MB on it
+        pts = img.ImageGrid().points()
+        tracemalloc.start()
+        try:
+            out = harness.distance_to_curves(pts, SIGMA1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (pts.shape[0],)
+        assert peak < 6e6, peak
+
+
+TUBE_VARIANTS = {
+    "sf-only": {"functionals": ("SF",)},
+    "inf-snr": {"snr_db": math.inf},
+    "5-tag": {"functionals": ("SF", "MF", "WMF(1)", "WMF(2)", "LOG")},
+}
+
+
+class TestTubeField:
+    # each preset, and each variant, meets each of the three grid sizes once
+    @pytest.mark.parametrize(
+        "preset, variant, n",
+        [
+            (preset, variant, (41, 101, 201)[(i + j) % 3])
+            for i, preset in enumerate(("fig1", "fig2", "fig3", "fig4"))
+            for j, variant in enumerate(TUBE_VARIANTS)
+        ],
+    )
+    def test_run_metrics_equal_the_full_fields(self, preset, variant, n):
+        cfg = replace(
+            harness.preset_config(preset, seed=3),
+            grid=img.ImageGrid(nx=n, ny=n),
+            **TUBE_VARIANTS[variant],
+        )
+        report = harness.run_experiment(cfg)
+        curves = [spec.resolve().curve for spec in cfg.inclusions]
+        full = harness.distance_to_curves(cfg.grid.points(), curves)
+        bands = fwd.FrequencySet.from_band(cfg.lambda_max, cfg.lambda_min, cfg.frequencies)
+        wavelength = float(bands.wavelengths[-1])
+        k = sum(geo.effective_segment_count(c, wavelength) for c in curves)
+        for tag, image in report.maps.items():
+            metrics = report.metrics[tag]
+            assert metrics["sidelobe_energy"] == harness.sidelobe_energy(
+                image, full, wavelength / 2.0
+            ), tag
+            assert metrics["localization_error"] == harness.localization_error(image, full, k), tag
+
+    def test_points_at_the_tube_radius(self):
+        # rows at exactly the tube radius from a horizontal segment, whose
+        # samples lie on its line: their distance is the radius, not above it
+        line = geo.PolynomialCurve(x_coeffs=(-0.5, 1.0), y_coeffs=(0.0,), s_min=0.0, s_max=1.0)
+        tube = 0.25
+        grid = img.ImageGrid(x_min=-1.0, x_max=1.0, y_min=-1.0, y_max=1.0, nx=41, ny=41)
+        pts = grid.points()
+        full = harness.distance_to_curves(pts, [line])
+        assert np.count_nonzero(full == tube) >= 20
+        top = np.array([0, 17, 820])
+        got = harness._tube_field(pts, [line], tube, top)
+        assert np.array_equal(got > tube, full > tube)
+        assert np.array_equal(got[top], full[top])
+
+    @pytest.mark.parametrize("curves", [SIGMA1, SIGMA12], ids=["sigma1", "sigma1+sigma2"])
+    @pytest.mark.parametrize("tube", [0.05, 0.15, 0.4])
+    def test_side_of_the_tube_everywhere(self, curves, tube):
+        pts = img.ImageGrid(x_min=-1.5, x_max=1.5, y_min=-1.5, y_max=1.5, nx=121, ny=121).points()
+        full = harness.distance_to_curves(pts, curves)
+        got = harness._tube_field(pts, curves, tube, [])
+        assert np.array_equal(got > tube, full > tube)
 
 
 class TestMetrics:
@@ -262,16 +335,17 @@ class TestRunExperiment:
             ).read_bytes(), name
 
     def test_one_correlation_pass_and_one_distance_field(self, monkeypatch):
-        calls = {"correlation": 0, "distance": 0}
+        calls, points = {"correlation": 0, "distance": 0}, []
         correlation, distance = img._subspace_correlation, harness.distance_to_curves
 
         def count_correlation(*args, **kwargs):
             calls["correlation"] += 1
             return correlation(*args, **kwargs)
 
-        def count_distance(*args, **kwargs):
+        def count_distance(pts, curves):
             calls["distance"] += 1
-            return distance(*args, **kwargs)
+            points.extend(pts)
+            return distance(pts, curves)
 
         monkeypatch.setattr(img, "_subspace_correlation", count_correlation)
         monkeypatch.setattr(harness, "distance_to_curves", count_distance)
@@ -279,6 +353,8 @@ class TestRunExperiment:
         report = harness.run_experiment(cfg)
         assert set(report.maps) == {"MF", "WMF(1)", "LOG"}
         assert calls == {"correlation": cfg.frequencies, "distance": 1}
+        # the exact distances of the points the tube bounds leave undecided
+        assert len(points) < 0.1 * cfg.grid.nx * cfg.grid.ny
 
     def test_sf_only_run_correlates_one_frequency(self, monkeypatch):
         calls = 0
@@ -369,11 +445,13 @@ class TestMapWriter:
         assert_no_child_left()
 
     def test_child_exit_without_a_message(self, tmp_path, monkeypatch):
-        parent = os.getpid()
+        parent, save_pgm = os.getpid(), harness.save_map_pgm
 
         def exiting_pgm(image, path):
-            assert os.getpid() != parent, "the map files are written by a child"
-            os._exit(3)
+            # the run writes a share of the maps itself; only the child exits
+            if os.getpid() != parent:
+                os._exit(3)
+            save_pgm(image, path)
 
         monkeypatch.setattr(harness, "save_map_pgm", exiting_pgm)
         with pytest.raises(harness.ExperimentError, match="map writer exited with status 3"):
@@ -413,6 +491,54 @@ class TestMapWriter:
         names = {p.name for p in (tmp_path / "inline").iterdir()}
         assert {"map_mf.csv", "map_log_norm.csv", "map_wmf1.pgm", "metrics.json"} <= names
         assert same_run_files(tmp_path / "forked", tmp_path / "inline")
+
+    @pytest.mark.parametrize(
+        "functionals, own",
+        [
+            (("SF",), ()),
+            (("MF", "WMF(1)", "LOG"), ("log",)),
+            (("SF", "MF", "WMF(1)", "WMF(2)", "WMF(3)", "LOG"), ("wmf3", "log")),
+        ],
+        ids=["1-tag", "3-tag", "6-tag"],
+    )
+    def test_run_writes_the_last_third_of_the_maps(self, tmp_path, monkeypatch, functionals, own):
+        # the child writes the other tags' files; the directory is the inline run's
+        cfg = replace(
+            harness.preset_config("fig1"),
+            grid=img.ImageGrid(nx=41, ny=41),
+            frequencies=3,
+            functionals=functionals,
+        )
+        log, parent = tmp_path / "writers.txt", os.getpid()
+        for name in ("save_map_csv", "save_map_pgm"):
+
+            def logged(image, path, *args, save=getattr(harness, name), **kwargs):
+                with open(log, "a", encoding="ascii") as fh:
+                    fh.write(f"{Path(path).name} {os.getpid() == parent}\n")
+                save(image, path, *args, **kwargs)
+
+            monkeypatch.setattr(harness, name, logged)
+        harness.run_experiment(replace(cfg, out_dir=str(tmp_path / "split")))
+        writers = dict(line.split() for line in log.read_text(encoding="ascii").splitlines())
+        slugs = [harness._tag_slug(tag) for tag in functionals]
+        assert writers == {
+            name: str(slug in own)
+            for slug in slugs
+            for name in (f"map_{slug}.csv", f"map_{slug}_norm.csv", f"map_{slug}.pgm")
+        }
+        assert_no_child_left()
+        monkeypatch.delattr(harness.os, "fork")
+        harness.run_experiment(replace(cfg, out_dir=str(tmp_path / "inline")))
+        assert same_run_files(tmp_path / "split", tmp_path / "inline")
+
+    def test_error_in_the_runs_own_share(self, tmp_path):
+        out = tmp_path / "run"
+        (out / "map_log.csv").mkdir(parents=True)
+        with pytest.raises(IsADirectoryError) as exc:
+            harness.run_experiment(small_config(out_dir=str(out)))
+        assert exc.value.filename == str(out / "map_log.csv")
+        assert not (out / "metrics.json").exists()
+        assert_no_child_left()
 
 
 class TestConfigValidation:
