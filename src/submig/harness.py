@@ -12,16 +12,15 @@ distance at the rest and at each map's top points.  A configuration that
 cannot run is rejected when it is built.  All outputs are deterministic for
 a fixed configuration and seed.
 
-When a run persists, the map files (most of its bytes) are written by a
-forked child process while this one scores the maps and writes the other
-files; this one then writes the last third of the tags' map files.  The
-fork is safe with BLAS threads alive in this process: the child runs only
-Python formatting, numpy elementwise operations and file writes, so it
-calls no BLAS and takes no lock that another thread could hold.  Python
-3.12 and later emit a ``DeprecationWarning`` on ``fork()`` in a process
-with several threads, as when OpenBLAS has started its pool; the tests have
-been run only on 3.11, so that case is untested.  Without ``os.fork`` this
-process writes every map file.
+When a run persists, a forked child writes most of the map files (most of
+its bytes) while this process scores the maps and writes the rest.  This
+process then writes the last third of the tags' map files, and the child's
+share again unless a child wrote it cleanly, so a failure is raised by the
+write that meets it.  The fork is safe with BLAS threads alive: the child
+runs only Python formatting, numpy elementwise operations and file writes,
+so it calls no BLAS and takes no lock that another thread could hold.
+Python 3.12 and later warn (``DeprecationWarning``) on such a fork; the
+tests have been run only on 3.11, so that case is untested.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ import hashlib
 import json
 import math
 import os
-import pickle
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -358,20 +356,21 @@ def load_config(path, out_dir: str | None = None) -> ExperimentConfig:
 
 
 def _config_hash(cfg: ExperimentConfig) -> str:
-    # hash over the experiment definition; the output directory is excluded
+    # hash over the experiment definition, not the output directory; floats
+    # spelled as in save_config, so equal configs hash equally
+    f, grid = _format_float, cfg.grid
     parts = [
-        ",".join(f"{_curve_name(s)}:{s.h!r}:{s.eps!r}:{s.mu!r}" for s in cfg.inclusions),
+        ",".join(f"{_curve_name(s)}:{f(s.h)}:{f(s.eps)}:{f(s.mu)}" for s in cfg.inclusions),
         str(cfg.directions),
         str(cfg.frequencies),
-        repr(cfg.lambda_max),
-        repr(cfg.lambda_min),
-        repr(cfg.snr_db),
+        f(cfg.lambda_max),
+        f(cfg.lambda_min),
+        f(cfg.snr_db),
         str(cfg.seed),
         ",".join(cfg.functionals),
-        f"{cfg.grid.x_min!r},{cfg.grid.x_max!r},{cfg.grid.y_min!r},{cfg.grid.y_max!r},"
-        f"{cfg.grid.nx},{cfg.grid.ny}",
-        repr(cfg.tau),
-        ",".join(repr(v) for v in cfg.c),
+        f"{f(grid.x_min)},{f(grid.x_max)},{f(grid.y_min)},{f(grid.y_max)},{grid.nx},{grid.ny}",
+        f(cfg.tau),
+        ",".join(f(v) for v in cfg.c),
     ]
     return hashlib.sha256("|".join(parts).encode("ascii")).hexdigest()
 
@@ -496,9 +495,12 @@ def sidelobe_energy(image: ImageMap, dist, tube_radius: float) -> float:
 
 
 def _top_points(image: ImageMap, k: int) -> np.ndarray:
-    # flat indices of the k largest values, ties in grid order; copied, as a
-    # view would keep the ordering of the whole grid alive
-    return np.argsort(-image.values.ravel(), kind="stable")[:k].copy()
+    # np.argsort(-values, kind="stable")[:k], the k largest values with ties in
+    # grid order, sorting only the points at or above the k-th largest value
+    flat = image.values.ravel()
+    kth = np.partition(flat, flat.size - k)[flat.size - k]
+    candidates = np.flatnonzero(flat >= kth)
+    return candidates[np.argsort(-flat[candidates], kind="stable")[:k]]
 
 
 def localization_error(image: ImageMap, dist, k: int) -> float:
@@ -561,13 +563,12 @@ def _run(cfg: ExperimentConfig) -> ExperimentReport:
         return _score(cfg, inclusions, freqs, ks, maps)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with _map_writer(maps, out) as own_maps:
+    with _map_writer(maps, out):
         report = _score(cfg, inclusions, freqs, ks, maps)
         save_config(cfg, out / "config.txt")
         for index, (k, factors) in enumerate(ks):
             save_msr(k, out / f"msr_f{index:02d}.txt")
             save_spectrum_csv(factors, k.omega, out / f"spectrum_f{index:02d}.csv")
-        _save_maps(own_maps, out)
     # last, once every map is written: a run directory without it is incomplete
     payload = {
         "format": "submig-report/1",
@@ -628,68 +629,36 @@ def _save_maps(maps: dict[str, ImageMap], out: Path) -> None:
 
 @contextlib.contextmanager
 def _map_writer(maps: dict[str, ImageMap], out: Path):
-    """Write the maps' files into ``out``, shared with the ``with`` block.
+    """Write every map's files into ``out`` around the ``with`` block.
 
-    A forked child writes the files of every tag but the last ``T // 3`` of
-    the ``T`` tags while the block runs.  The block receives those last maps
-    and writes them with ``_save_maps`` once its own work is done.  One tag's
-    three files take about as long as that work, so at three tags the two
-    processes finish close together.  Leaving the block reaps the child,
-    also when the block raises; after a clean block the child's error is
-    raised here with the type and message writing in this process would have
-    raised.  The child is fork-safe with BLAS threads alive: it runs only
-    Python formatting, numpy elementwise operations and file writes, so it
-    calls no BLAS and takes no lock another thread could hold.  It leaves by
-    ``os._exit``, so it neither flushes the buffers it inherited nor runs
-    exit handlers.  Python 3.12+ warns (``DeprecationWarning``) on ``fork()``
-    while other threads are alive; untested, as the tests run on 3.11.
-    Without ``os.fork`` the block receives every map.
+    A forked child writes the files of all but the last ``T // 3`` of the
+    ``T`` tags while the block runs.  After a clean block this process
+    writes the last tags' files, reaps the child, and writes the child's
+    share again unless it exited with status 0 (also when ``os.fork`` is
+    missing and no child ran).  A reproducible failure is thus raised by this
+    process's own write, with its type, message and traceback, and a child
+    killed for any other reason leaves no gap.  The child is reaped also
+    when the block raises.  It runs only formatting, numpy elementwise
+    operations and file writes, so it calls no BLAS and takes no lock
+    another thread could hold, and leaves by ``os._exit``, flushing no
+    inherited buffer.  Python 3.12+ warns (``DeprecationWarning``) on
+    ``fork()`` while threads are alive; untested, as the tests run on 3.11.
     """
-    if not hasattr(os, "fork"):
-        yield maps
-        return
     tags = list(maps)
     split = len(tags) - len(tags) // 3
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
+    child_maps = {tag: maps[tag] for tag in tags[:split]}
+    pid = os.fork() if hasattr(os, "fork") else None
     if pid == 0:
         status = 1
         try:
-            os.close(read_fd)
-            _save_maps({tag: maps[tag] for tag in tags[:split]}, out)
+            _save_maps(child_maps, out)
             status = 0
-        except BaseException as err:
-            _send_error(write_fd, err)
         finally:
             os._exit(status)
-    os.close(write_fd)
     try:
-        yield {tag: maps[tag] for tag in tags[split:]}
+        yield
+        _save_maps({tag: maps[tag] for tag in tags[split:]}, out)
     finally:
-        # read to the end first: the child may block on a full pipe until then
-        try:
-            with open(read_fd, "rb") as pipe:
-                message = pipe.read()
-        finally:
-            _, status = os.waitpid(pid, 0)
-    if message:
-        raise pickle.loads(message)
+        status = 1 if pid is None else os.waitpid(pid, 0)[1]
     if status != 0:
-        raise RuntimeError(f"map writer exited with status {os.waitstatus_to_exitcode(status)}")
-
-
-def _send_error(fd: int, err: BaseException) -> None:
-    # the error pickled as raised, or as a RuntimeError naming it if it does
-    # not survive the round trip; the parent decodes it only on failure
-    try:
-        message = pickle.dumps(err)
-        pickle.loads(message)
-    except Exception:
-        message = pickle.dumps(RuntimeError(f"map writer failed: {type(err).__name__}: {err}"))
-    with open(fd, "wb") as pipe:
-        pipe.write(message)
+        _save_maps(child_maps, out)

@@ -5,6 +5,7 @@ import io
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -13,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from submig import forward as fwd
 from submig import geometry as geo
@@ -234,6 +237,24 @@ class TestMetrics:
         with pytest.raises(ValueError, match="distance field"):
             harness.localization_error(image, dist.reshape(29, 37), 3)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        nx=st.integers(2, 9), ny=st.integers(2, 9), top=st.integers(0, 3),
+        values=st.lists(st.integers(0, 3), min_size=81, max_size=81), k=st.integers(1, 81),
+    )
+    @example(nx=5, ny=5, top=0, values=[0] * 81, k=7)  # an all-equal map
+    def test_top_points_are_the_stable_argsort(self, nx, ny, top, values, k):
+        # integer values clipped at `top`, so ties are many
+        size = nx * ny
+        image = img.ImageMap(
+            grid=img.ImageGrid(nx=nx, ny=ny),
+            values=np.minimum(values[:size], top).reshape(ny, nx).astype(float),
+            tag="MF", omegas=(12.566,),
+        )
+        for k in (min(k, size), size):
+            expected = np.argsort(-image.values.ravel(), kind="stable")[:k]
+            assert np.array_equal(harness._top_points(image, k), expected)
+
     def test_localization_k_bounds(self):
         image = self._uniform_map()
         dist = harness.distance_to_curves(image.grid.points(), SIGMA1)
@@ -433,6 +454,11 @@ class TestMapWriter:
         assert not (out / "metrics.json").exists()
         assert_no_child_left()
 
+    def test_child_share_error_raised_without_fork(self, tmp_path, monkeypatch):
+        # the same error, filename and message when no child runs
+        monkeypatch.delattr(harness.os, "fork")
+        self.test_child_error_raised_as_written_in_process(tmp_path)
+
     def test_child_value_error_gains_the_config_context(self, tmp_path, monkeypatch):
         def failing_pgm(image, path):
             raise ValueError("injected failure")
@@ -445,18 +471,39 @@ class TestMapWriter:
         assert_no_child_left()
 
     def test_child_exit_without_a_message(self, tmp_path, monkeypatch):
+        # the child leaves without writing its share; the run writes it again
         parent, save_pgm = os.getpid(), harness.save_map_pgm
 
         def exiting_pgm(image, path):
-            # the run writes a share of the maps itself; only the child exits
             if os.getpid() != parent:
                 os._exit(3)
             save_pgm(image, path)
 
         monkeypatch.setattr(harness, "save_map_pgm", exiting_pgm)
-        with pytest.raises(harness.ExperimentError, match="map writer exited with status 3"):
-            harness.run_experiment(small_config(out_dir=str(tmp_path / "run")))
+        harness.run_experiment(small_config(out_dir=str(tmp_path / "run")))
         assert_no_child_left()
+        monkeypatch.delattr(harness.os, "fork")
+        harness.run_experiment(small_config(out_dir=str(tmp_path / "inline")))
+        assert same_run_files(tmp_path / "run", tmp_path / "inline")
+
+    def test_child_killed_after_a_partial_file(self, tmp_path, monkeypatch):
+        # the child cuts a written map short and is killed; the run's rewrite
+        # leaves every file complete
+        parent, save_csv = os.getpid(), harness.save_map_csv
+
+        def killed_csv(image, path, *args, **kwargs):
+            save_csv(image, path, *args, **kwargs)
+            if os.getpid() != parent:
+                with open(path, "r+b") as fh:
+                    fh.truncate(Path(path).stat().st_size // 2)
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(harness, "save_map_csv", killed_csv)
+        harness.run_experiment(small_config(out_dir=str(tmp_path / "run")))
+        assert_no_child_left()
+        monkeypatch.delattr(harness.os, "fork")
+        harness.run_experiment(small_config(out_dir=str(tmp_path / "inline")))
+        assert same_run_files(tmp_path / "run", tmp_path / "inline")
 
     def test_parent_error_after_the_fork(self, tmp_path, monkeypatch):
         def failing_distance(*args, **kwargs):
@@ -706,6 +753,39 @@ class TestConfigFiles:
         assert back.grid == cfg.grid
         assert back.c == cfg.c
         assert harness._config_hash(back) == harness._config_hash(cfg)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(snr_db=10, lambda_max=np.float64(0.5)),
+            dict(c=(1, 0, np.int64(1)), tau=np.float64(0.01), seed=np.int64(0)),
+            dict(grid=img.ImageGrid(x_min=-1, x_max=np.float64(1.0), y_min=np.int32(-1), y_max=1)),
+            dict(inclusions=(
+                harness.InclusionSpec(curve="sigma1", h=np.float64(0.015), eps=5, mu=np.float32(5)),
+            )),
+        ],
+        ids=["ints-and-numpy-floats", "steering-tau-seed", "grid-bounds", "materials"],
+    )
+    def test_equal_configs_hash_equally(self, tmp_path, overrides):
+        cfg, default = harness.ExperimentConfig(**overrides), harness.ExperimentConfig()
+        assert cfg == default
+        path = tmp_path / "cfg.txt"
+        harness.save_config(cfg, path)
+        back = harness.load_config(path)
+        assert back == cfg
+        hashes = {harness._config_hash(c) for c in (cfg, back, default)}
+        assert len(hashes) == 1
+
+    def test_preset_hashes_pinned(self, tmp_path):
+        # metrics.json and the CLI print these; a change to the hash moves them
+        fig1 = "44b5b1b1d1766c67c5598f451f6b566e6ca43d15ae76ea00975d635457150003"
+        fig4 = "88d2d497da393416531dcfa510f6971ee4ea6722001b9691a18ddc4d0c52349d"
+        for name, expected in (("fig1", fig1), ("fig4", fig4)):
+            cfg = harness.preset_config(name)
+            path = tmp_path / f"{name}.txt"
+            harness.save_config(cfg, path)
+            assert harness._config_hash(cfg) == expected
+            assert harness._config_hash(harness.load_config(path)) == expected
 
     def test_header_versioned(self, tmp_path):
         path = tmp_path / "cfg.txt"
