@@ -177,6 +177,7 @@ class ExperimentConfig:
         # raises below 1 frequency; assemble_msr's rule M < N at the run's finest wavelength
         freqs = FrequencySet.from_band(self.lambda_max, self.lambda_min, self.frequencies)
         wavelength = float(freqs.wavelengths[-1])
+        k_peaks = 0
         for spec in self.inclusions:
             m = effective_segment_count(spec.resolve().curve, wavelength)
             if m >= self.directions:
@@ -184,6 +185,14 @@ class ExperimentConfig:
                     f"effective segment count M={m} must stay below N={self.directions} "
                     f"directions ({_curve_name(spec)} at wavelength {wavelength})"
                 )
+            k_peaks += m
+        # localization_error reads the sum of M top points of every map
+        if self.grid.nx * self.grid.ny < k_peaks:
+            raise ValueError(
+                f"grid {self.grid.nx}x{self.grid.ny} has fewer points than the "
+                f"{k_peaks} map peaks the localization error reads (the sum of M "
+                f"over the inclusions at wavelength {wavelength})"
+            )
         # assemble_msr's prefactor rule; the prefactor grows with omega, so the
         # band's ends bound it
         for omega in (freqs.omegas[0], freqs.omegas[-1]):
@@ -552,12 +561,11 @@ def _run(cfg: ExperimentConfig) -> ExperimentReport:
         # the finest wavelength's correlation alone
         maps = {"SF": map_single(*ks[-1], cfg.grid, steering, cfg.tau)}
     else:
-        # each frequency's correlation once, shared by every tag
-        correlations = subspace_correlations(ks, cfg.grid, steering, cfg.tau)
+        # each frequency's correlation once, summed into every tag's weighted sum
+        sums = subspace_correlations(ks, cfg.grid, steering, cfg.tau, cfg.functionals)
         omegas = tuple(float(w) for w in freqs.omegas)
-        maps = {tag: map_multi(correlations, omegas, cfg.grid, tag) for tag in cfg.functionals}
-        # released before the distance field, which sets the run's peak memory
-        del correlations
+        # each sum is released once its map is made
+        maps = {tag: map_multi(sums.pop(tag), omegas, cfg.grid, tag) for tag in cfg.functionals}
 
     if cfg.out_dir is None:
         return _score(cfg, inclusions, freqs, ks, maps)

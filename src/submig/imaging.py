@@ -4,15 +4,17 @@ Every functional is built from the same per-frequency subspace correlation
 c_f(z) = w(z)^H U_m V_m^H conj(w(z)) of a unit-norm steering vector with the
 thresholded signal subspace of the response matrix.  SF is |c_F| at the
 finest wavelength; MF, WMF(n) and LOG are |sum_f xi_f c_f| with weights
-xi_f = 1/F, omega_f^n and ln omega_f.  ``subspace_correlations`` computes
-every c_f once, and ``map_multi`` turns that one array into any of the
-four functionals, named by one tag vocabulary; ``map_single`` is SF of one
-matrix.  Steering vectors are built from separable x and y phase tables,
-and since the bilinear form sees only the symmetric part of U_m V_m^H, each
-c_f is one matrix product over direction pairs j <= l: a (ny, pairs) table
-of weighted y products times a (pairs, nx) table of x products.  The pairs
-go in fixed-size blocks, so memory stays bounded on large grids whatever
-the direction count; values agree with the pointwise formula to rounding.
+xi_f = 1/F, omega_f^n and ln omega_f, named by one tag vocabulary.
+``subspace_correlations`` computes each c_f once, into one reused buffer,
+and adds xi_f c_f into one sum per tag, so memory holds one map per tag
+whatever the frequency count; ``map_multi`` turns a tag's sum into its map,
+and ``map_single`` is SF of one matrix.  Steering vectors are built from
+separable x and y phase tables, and since the bilinear form sees only the
+symmetric part of U_m V_m^H, each c_f is one matrix product over direction
+pairs j <= l: a (ny, pairs) table of weighted y products times a
+(pairs, nx) table of x products.  The pairs go in fixed-size blocks, so
+memory stays bounded on large grids whatever the direction count; values
+agree with the pointwise formula to rounding.
 """
 
 from __future__ import annotations
@@ -196,32 +198,8 @@ def map_single(
     tau: float = DEFAULT_RANK_THRESHOLD,
 ) -> ImageMap:
     """Single-frequency subspace migration map: SF of the one matrix."""
-    correlations = subspace_correlations([(k, factors)], grid, cfg, tau)
-    return map_multi(correlations, (k.omega,), grid, "SF")
-
-
-def subspace_correlations(
-    ks: list[tuple[MsrMatrix, SvdFactors]],
-    grid: ImageGrid,
-    cfg: SteeringConfig | None = None,
-    tau: float = DEFAULT_RANK_THRESHOLD,
-) -> np.ndarray:
-    """Every frequency's subspace correlation c_f on the grid, as (F, ny, nx)."""
-    if cfg is None:
-        cfg = SteeringConfig()
-    if not ks:
-        raise ValueError("need at least one frequency")
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"threshold must lie in (0, 1), got {tau}")
-    n = ks[0][0].dirs.count
-    for k, _ in ks:
-        if k.dirs.count != n or not np.array_equal(k.dirs.thetas, ks[0][0].dirs.thetas):
-            raise ConfigurationError("all matrices must share one direction set")
-    # one array filled in place: F separate maps fragment the heap
-    out = np.empty((len(ks), grid.ny, grid.nx), dtype=complex)
-    for f, (k, factors) in enumerate(ks):
-        _subspace_correlation(k, factors, grid, cfg, tau, out=out[f])
-    return out
+    sums = subspace_correlations([(k, factors)], grid, cfg, tau, ("SF",))
+    return map_multi(sums["SF"], (k.omega,), grid, "SF")
 
 
 def _weights(tag: str, omegas: list[float]) -> np.ndarray | None:
@@ -245,33 +223,72 @@ def _weights(tag: str, omegas: list[float]) -> np.ndarray | None:
     raise ValueError(f"unknown weight {tag!r}; expected SF, MF, WMF(n), or LOG")
 
 
+def subspace_correlations(
+    ks: list[tuple[MsrMatrix, SvdFactors]],
+    grid: ImageGrid,
+    cfg: SteeringConfig | None = None,
+    tau: float = DEFAULT_RANK_THRESHOLD,
+    tags: tuple[str, ...] | list[str] = ("MF",),
+) -> dict[str, np.ndarray]:
+    """Each tag's weighted correlation sum over the frequencies of ``ks``.
+
+    The sum is ``sum_f xi_f c_f`` with the tag's weights (``xi_f = 1`` for
+    MF), as a complex ``(ny, nx)`` array, and ``c_F`` alone for SF.  Each
+    c_f is computed once, into one buffer reused across frequencies, so the
+    pass holds one map per tag plus that buffer, whatever the frequency
+    count.  ``map_multi`` turns a sum into its map.
+    """
+    if cfg is None:
+        cfg = SteeringConfig()
+    if not ks:
+        raise ValueError("need at least one frequency")
+    if not 0.0 < tau < 1.0:
+        raise ValueError(f"threshold must lie in (0, 1), got {tau}")
+    n = ks[0][0].dirs.count
+    for k, _ in ks:
+        if k.dirs.count != n or not np.array_equal(k.dirs.thetas, ks[0][0].dirs.thetas):
+            raise ConfigurationError("all matrices must share one direction set")
+    omegas = [float(k.omega) for k, _ in ks]
+    weights = {tag: _weights(tag, omegas) for tag in tags}
+    sums = {
+        tag: np.zeros((grid.ny, grid.nx), dtype=complex)
+        for tag, xi in weights.items()
+        if xi is not None
+    }
+    c_f = np.empty((grid.ny, grid.nx), dtype=complex)
+    for f, (k, factors) in enumerate(ks):
+        _subspace_correlation(k, factors, grid, cfg, tau, out=c_f)
+        # frequency by frequency, each tag's sum takes its terms in order f = 0..F-1
+        for tag, total in sums.items():
+            total += weights[tag][f] * c_f
+    # after the last frequency the buffer holds c_F, SF's sum
+    return {tag: c_f if xi is None else sums[tag] for tag, xi in weights.items()}
+
+
 def map_multi(
-    correlations: np.ndarray,
+    total: np.ndarray,
     omegas: tuple[float, ...] | list[float],
     grid: ImageGrid,
     weight: str = "MF",
 ) -> ImageMap:
-    """Subspace migration map SF, MF, WMF(n) or LOG from the correlations.
+    """Subspace migration map SF, MF, WMF(n) or LOG from its correlation sum.
 
-    ``correlations`` is ``subspace_correlations(ks, grid, cfg, tau)`` and
-    ``omegas`` the frequencies of ``ks``, in the same order.  SF is |c_F|,
-    tagged with the last frequency alone.  The unweighted map (MF) carries
-    the 1/F normalization; the weighted maps are raw magnitudes of the
-    weighted double sum.
+    ``total`` is ``subspace_correlations(ks, grid, cfg, tau, tags)[weight]``
+    and ``omegas`` the frequencies of ``ks``, in the same order.  SF is
+    |c_F|, tagged with the last frequency alone.  The unweighted map (MF)
+    carries the 1/F normalization; the weighted maps are raw magnitudes of
+    the weighted double sum.
     """
     omegas = [float(w) for w in omegas]
-    xi = _weights(weight, omegas)
-    if not omegas or np.shape(correlations) != (len(omegas), grid.ny, grid.nx):
+    _weights(weight, omegas)  # rejects an unknown tag, and LOG below omega = 1
+    if not omegas or np.shape(total) != (grid.ny, grid.nx):
         raise ValueError(
-            f"correlations of shape {np.shape(correlations)} do not match "
+            f"correlations summed to shape {np.shape(total)} do not match "
             f"{len(omegas)} frequencies on a {grid.ny}x{grid.nx} grid"
         )
-    if xi is None:
-        return ImageMap(grid, np.abs(correlations[-1]), weight, (omegas[-1],))
-    total = np.zeros((grid.ny, grid.nx), dtype=complex)
-    for c_f, xi_f in zip(correlations, xi):
-        total += xi_f * c_f
     values = np.abs(total)
+    if weight == "SF":
+        return ImageMap(grid, values, weight, (omegas[-1],))
     if weight == "MF":
         values = values / len(omegas)
     return ImageMap(grid=grid, values=values, tag=weight, omegas=tuple(omegas))
@@ -281,9 +298,13 @@ def map_multi(
 # exports
 
 def save_map_csv(image: ImageMap, path, normalized: bool = False) -> None:
-    """Write (x, y, value) rows, y ascending in blocks, x fastest."""
+    """Write (x, y, value) rows, y ascending, x fastest.
+
+    Each grid row is formatted and written on its own, so the strings held at
+    once are one row's, whatever the grid size.
+    """
     values = image.normalized() if normalized else image.values
-    lines = [
+    header = [
         "# submig map v1",
         f"# tag {image.tag}",
         f"# normalized {'yes' if normalized else 'no'}",
@@ -291,13 +312,13 @@ def save_map_csv(image: ImageMap, path, normalized: bool = False) -> None:
         "x,y,value",
     ]
     x_reprs = [repr(x) for x in image.grid.xs.tolist()]
-    for y, row in zip(image.grid.ys.tolist(), values.tolist()):
-        y_repr = repr(y)
-        lines.extend(
-            f"{x_repr},{y_repr},{value!r}" for x_repr, value in zip(x_reprs, row)
-        )
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(header) + "\n")
+        for y, row in zip(image.grid.ys.tolist(), values):
+            y_repr = repr(y)
+            fh.write("".join(
+                f"{x_repr},{y_repr},{value!r}\n" for x_repr, value in zip(x_reprs, row.tolist())
+            ))
 
 
 def save_map_pgm(image: ImageMap, path) -> None:

@@ -597,7 +597,7 @@ class TestConfigValidation:
     )
     def test_config_and_map_multi_share_one_vocabulary(self, tag, known):
         grid = img.ImageGrid(nx=3, ny=3)
-        correlations = np.ones((1, 3, 3), dtype=complex)
+        total = np.ones((3, 3), dtype=complex)
 
         def accepts(build):
             try:
@@ -607,7 +607,7 @@ class TestConfigValidation:
             return True
 
         config_ok = accepts(lambda: harness.ExperimentConfig(functionals=(tag,)))
-        map_ok = accepts(lambda: img.map_multi(correlations, [2 * math.pi / 0.5], grid, tag))
+        map_ok = accepts(lambda: img.map_multi(total, [2 * math.pi / 0.5], grid, tag))
         assert config_ok == map_ok == known
 
     @pytest.mark.parametrize("tau", [0.0, 1.0, -0.1, 1.5, math.nan])
@@ -727,6 +727,31 @@ class TestConfigValidation:
             small_config(inclusions=inclusions, directions=m, **band)
         assert f"({curves[-1]} at wavelength " in str(exc.value)
         assert small_config(inclusions=inclusions, directions=m + 1, **band).directions == m + 1
+
+    @pytest.mark.parametrize(
+        "band, curves, k, small, enough",
+        [
+            (dict(frequencies=1, lambda_max=0.5, lambda_min=0.3), ("sigma1",), 5, (2, 2), (2, 3)),
+            (dict(frequencies=2, lambda_max=0.5, lambda_min=0.4), ("sigma1",), 6, (2, 2), (2, 3)),
+            # the peaks of both curves: M = 7 for sigma1 and 8 for sigma2
+            (dict(frequencies=10, lambda_max=0.5, lambda_min=0.3), ("sigma1", "sigma2"), 15,
+             (2, 7), (3, 5)),
+        ],
+        ids=["F1", "F2", "two-curves"],
+    )
+    def test_grid_holds_the_map_peaks(self, band, curves, k, small, enough):
+        # localization_error reads the sum of M top points of each map, so a
+        # grid with fewer points is rejected when the config is built
+        inclusions = tuple(harness.InclusionSpec(curve=name) for name in curves)
+        nx, ny = small
+        with pytest.raises(ValueError, match=f"grid {nx}x{ny} has fewer points than the {k} "):
+            small_config(inclusions=inclusions, grid=img.ImageGrid(nx=nx, ny=ny), **band)
+        # a grid just large enough runs to the end
+        nx, ny = enough
+        report = harness.run_experiment(
+            small_config(inclusions=inclusions, grid=img.ImageGrid(nx=nx, ny=ny), **band)
+        )
+        assert set(report.metrics) == {"MF", "WMF(1)", "LOG"}
 
     def test_valid_edges_accepted(self):
         # the smallest configurations the pipeline accepts stay valid
@@ -1012,6 +1037,7 @@ class TestCli:
             (["--preset", "fig1", "--N", "7"], "M=7 must stay below N=7 directions"),
             (["--lambda-max", "1e300", "--functional", "MF"], "lambda_max is too large"),
             (["--h", "1e308"], "h is too large"),
+            (["--preset", "fig1", "--grid", "2"], "grid 2x2 has fewer points than the 7 "),
         ],
         ids=[
             "tau", "grid", "functional", "config", "c", "log-band", "repeated-functional",
@@ -1019,7 +1045,7 @@ class TestCli:
             "tau-malformed", "directions-malformed", "config-c-count",
             "segments-exceed-directions", "non-canonical-power", "zero-contrast", "h-inf",
             "eps-inf", "mu-inf", "snr-overflow", "preset-segments-exceed-directions",
-            "prefactor-underflow", "prefactor-overflow",
+            "prefactor-underflow", "prefactor-overflow", "grid-below-peaks",
         ],
     )
     def test_bad_config_is_a_usage_error(self, argv, names, tmp_path):
@@ -1075,7 +1101,9 @@ def test_import_builds_no_config():
 
 
 def test_artifacts_independent_of_blas_threads(tmp_path):
-    # a reduced fig1 in fresh interpreters at one and two BLAS threads
+    # a reduced fig4 in fresh interpreters at one and two BLAS threads (set
+    # before numpy is imported), and in this process
+    argv = ["--preset", "fig4", "--grid", "41", "--F", "3", "--out-dir"]
     src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = {}
     for threads in ("1", "2"):
@@ -1083,11 +1111,12 @@ def test_artifacts_independent_of_blas_threads(tmp_path):
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = tmp_path / f"threads{threads}"
         subprocess.run(
-            [sys.executable, "-m", "submig.cli", "--preset", "fig1", "--grid", "41",
-             "--F", "3", "--out-dir", str(out)],
+            [sys.executable, "-m", "submig.cli", *argv, str(out)],
             check=True, env=env, capture_output=True,
         )
         outputs[threads] = out
+    outputs["in-process"] = tmp_path / "in-process"
+    assert main([*argv, str(outputs["in-process"])]) == 0
     names = sorted(p.name for p in outputs["1"].iterdir())
     assert names == sorted(p.name for p in outputs["2"].iterdir())
     assert any(n.endswith(".pgm") for n in names) and "msr_f02.txt" in names
@@ -1098,6 +1127,10 @@ def test_artifacts_independent_of_blas_threads(tmp_path):
             one = b"".join(ln for ln in one.splitlines(True) if b"timestamp_utc" not in ln)
             two = b"".join(ln for ln in two.splitlines(True) if b"timestamp_utc" not in ln)
         assert one == two, name
+    maps = [name for name in names if name.startswith("map_")]
+    assert len(maps) == 3 * 3
+    for name in maps:
+        assert (outputs["in-process"] / name).read_bytes() == (outputs["1"] / name).read_bytes()
 
 
 def test_benchmark_bindings_resolve():

@@ -28,8 +28,8 @@ def pipeline(inclusion, wavelengths, n=48, snr_db=math.inf, seed=0):
 
 
 def multi(ks, grid, weight="MF", cfg=None, tau=0.01):
-    corr = img.subspace_correlations(ks, grid, cfg, tau)
-    return img.map_multi(corr, [k.omega for k, _ in ks], grid, weight)
+    sums = img.subspace_correlations(ks, grid, cfg, tau, (weight,))
+    return img.map_multi(sums[weight], [k.omega for k, _ in ks], grid, weight)
 
 
 def pointwise_correlation(k, factors, grid, cfg, tau=0.01):
@@ -160,10 +160,15 @@ class TestCorrelationKernel:
         assert 0 < m < n
         projector = ks[0][1].u[:, :m] @ ks[0][1].v[:, :m].conj().T
         assert np.max(np.abs(projector - projector.T)) > 0.1 * np.max(np.abs(projector))
-        got = img.subspace_correlations(ks, grid, cfg)
-        for f, (k, factors) in enumerate(ks):
-            want = pointwise_correlation(k, factors, grid, cfg)
-            assert np.max(np.abs(got[f] - want)) <= 1e-13 * np.max(np.abs(want))
+        want = [pointwise_correlation(k, factors, grid, cfg) for k, factors in ks]
+        for f in range(len(ks)):
+            got = img.subspace_correlations(ks[f : f + 1], grid, cfg, tags=("SF",))["SF"]
+            assert np.max(np.abs(got - want[f])) <= 1e-13 * np.max(np.abs(want[f]))
+        # both frequencies through one pass: SF is the last, WMF(1) the weighted sum
+        sums = img.subspace_correlations(ks, grid, cfg, tags=("SF", "WMF(1)"))
+        assert np.max(np.abs(sums["SF"] - want[1])) <= 1e-13 * np.max(np.abs(want[1]))
+        weighted = sum(k.omega * c for (k, _), c in zip(ks, want))
+        assert np.max(np.abs(sums["WMF(1)"] - weighted)) <= 1e-13 * np.max(np.abs(weighted))
 
     def test_memory_bounded_by_pair_blocks(self):
         n, grid = 96, img.ImageGrid(nx=101, ny=101)
@@ -171,13 +176,31 @@ class TestCorrelationKernel:
         ks = [random_factors(n, OMEGA_05, seed=7), random_factors(n, 0.9 * OMEGA_05, seed=8)]
         tracemalloc.start()
         try:
-            out = img.subspace_correlations(ks, grid)
+            img.subspace_correlations(ks, grid, tags=("MF",))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # a few (pair block x axis) tables live at once: ~2.4 blocks here
+        # the MF sum, the frequency buffer and one weighted term, plus a few
+        # (pair block x axis) tables: ~2.4 blocks here
+        one_map = grid.ny * grid.nx * 16
         block = (grid.nx + grid.ny) * img._CHUNK_PAIRS * 16
-        assert peak < out.nbytes + 4 * block, (peak - out.nbytes) / block
+        assert peak < 3 * one_map + 4 * block, (peak - 3 * one_map) / block
+
+    def test_memory_independent_of_frequency_count(self):
+        # one sum per tag and one reused buffer, whatever F: the pass's peak at
+        # F = 20 stays within one map of its peak at F = 2
+        grid = img.ImageGrid(nx=201, ny=201)
+        one_map = grid.ny * grid.nx * 16
+        ks = [random_factors(16, OMEGA_05 * (1.0 - 0.01 * f), seed=f) for f in range(20)]
+        peaks = {}
+        for count in (2, 20):
+            tracemalloc.start()
+            try:
+                img.subspace_correlations(ks[:count], grid, tags=("MF", "WMF(1)", "LOG"))
+                _, peaks[count] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[20] - peaks[2]) < one_map, peaks
 
 
 class TestMapMulti:
@@ -221,9 +244,9 @@ class TestMapMulti:
 
     def test_log_requires_omega_above_one(self):
         grid = img.ImageGrid(nx=11, ny=11)
-        corr = np.zeros((1, 11, 11), dtype=complex)
+        total = np.zeros((11, 11), dtype=complex)
         with pytest.raises(ValueError, match="omega > 1"):
-            img.map_multi(corr, [2 * math.pi / 15.0], grid, "LOG")
+            img.map_multi(total, [2 * math.pi / 15.0], grid, "LOG")
 
     def test_mixed_direction_sets_rejected(self):
         inc = sigma1_inclusion()
@@ -233,8 +256,9 @@ class TestMapMulti:
             img.subspace_correlations(ks_a + ks_b, img.ImageGrid(nx=11, ny=11))
 
     def test_unknown_weight(self):
+        _, ks = pipeline(sigma1_inclusion(), [0.5], n=16)
         grid = img.ImageGrid(nx=11, ny=11)
-        corr = np.zeros((1, 11, 11), dtype=complex)
+        total = np.zeros((11, 11), dtype=complex)
         # the run's tags are the only vocabulary: the old weight names are unknown,
         # and so are a trailing newline, a non-ASCII digit, a padded power and
         # near-misses of SF
@@ -242,7 +266,9 @@ class TestMapMulti:
                "WMF(1)\n", "WMF(\u0663)", "WMF(01)", "WMF(00)", "sf", "SF(1)", "SF\n")
         for weight in bad:
             with pytest.raises(ValueError, match="unknown weight"):
-                img.map_multi(corr, [OMEGA_05], grid, weight)
+                img.map_multi(total, [OMEGA_05], grid, weight)
+            with pytest.raises(ValueError, match="unknown weight"):
+                img.subspace_correlations(ks, grid, tags=("MF", weight))
 
     @pytest.mark.parametrize("weight", ["MF", "WMF(1)", "LOG"])
     def test_matches_weighted_pointwise_sum(self, weight):
@@ -250,10 +276,12 @@ class TestMapMulti:
         dirs, ks = pipeline(inc, np.linspace(0.5, 0.3, 3), snr_db=10.0, seed=2)
         grid = img.ImageGrid(nx=23, ny=19)
         cfg = img.SteeringConfig(c=(1, 1, 0))
-        corr = img.subspace_correlations(ks, grid, cfg, 0.05)
-        assert corr.shape == (3, 19, 23)
+        # every tag from one pass: the sums do not disturb each other
+        tags = ("SF", "MF", "WMF(1)", "LOG")
+        sums = img.subspace_correlations(ks, grid, cfg, 0.05, tags)
+        assert tuple(sums) == tags and sums[weight].shape == (19, 23)
         omegas = [k.omega for k, _ in ks]
-        got = img.map_multi(corr, omegas, grid, weight)
+        got = img.map_multi(sums[weight], omegas, grid, weight)
         xi = {"MF": np.full(3, 1.0 / 3.0), "WMF(1)": np.array(omegas), "LOG": np.log(omegas)}
         want = np.abs(sum(
             x * pointwise_correlation(k, f, grid, cfg, 0.05)
@@ -266,28 +294,52 @@ class TestMapMulti:
         inc = sigma1_inclusion()
         _, ks = pipeline(inc, [0.5, 0.4, 0.3], snr_db=10.0, seed=1)
         grid = img.ImageGrid(nx=17, ny=13)
-        corr = img.subspace_correlations(ks, grid, tau=0.05)
+        sums = img.subspace_correlations(ks, grid, tau=0.05, tags=("MF", "SF"))
         omegas = [k.omega for k, _ in ks]
-        got = img.map_multi(corr, omegas, grid, "SF")
-        assert np.array_equal(got.values, np.abs(corr[-1]))
+        got = img.map_multi(sums["SF"], omegas, grid, "SF")
+        last = img.subspace_correlations(ks[-1:], grid, tau=0.05, tags=("SF",))["SF"]
+        assert np.array_equal(sums["SF"], last)
+        assert np.array_equal(got.values, np.abs(last))
         assert (got.tag, got.omegas) == ("SF", (omegas[-1],))
         single = img.map_single(*ks[-1], grid, tau=0.05)
         assert np.array_equal(got.values, single.values)
         assert (single.tag, single.omegas) == (got.tag, got.omegas)
 
+    def test_sums_equal_the_loop_over_stored_correlations(self):
+        # the sums take each tag's terms in the order of a loop over all F
+        # stored correlations, so maps are bitwise those of that loop
+        _, ks = pipeline(sigma1_inclusion(), [0.5, 0.45, 0.4, 0.35], snr_db=10.0, seed=4)
+        grid = img.ImageGrid(nx=19, ny=17)
+        stored = [img.subspace_correlations([kf], grid, tags=("SF",))["SF"] for kf in ks]
+        omegas = [k.omega for k, _ in ks]
+        tags = ("SF", "MF", "WMF(2)", "LOG")
+        sums = img.subspace_correlations(ks, grid, tags=tags)
+        for tag in tags:
+            xi = img._weights(tag, omegas)
+            if xi is None:
+                want = stored[-1]
+            else:
+                want = np.zeros((grid.ny, grid.nx), dtype=complex)
+                for c_f, xi_f in zip(stored, xi):
+                    want += xi_f * c_f
+            assert np.array_equal(sums[tag], want), tag
+            assert np.array_equal(
+                img.map_multi(sums[tag], omegas, grid, tag).values,
+                np.abs(want) / (len(ks) if tag == "MF" else 1),
+            ), tag
+
     def test_mismatched_correlations_rejected(self):
         inc = sigma1_inclusion()
         dirs, ks = pipeline(inc, [0.5, 0.4])
         grid = img.ImageGrid(nx=11, ny=13)
-        corr = img.subspace_correlations(ks, grid)
+        total = img.subspace_correlations(ks, grid)["MF"]
+        assert total.shape == (13, 11)
         omegas = [k.omega for k, _ in ks]
-        for bad in (corr[:1], corr[:, :, :10], corr.transpose(0, 2, 1), corr[0]):
+        for bad in (total[:1], total[:, :10], total.T, total[None], total[0]):
             with pytest.raises(ValueError, match="correlations"):
                 img.map_multi(bad, omegas, grid)
         with pytest.raises(ValueError, match="correlations"):
-            img.map_multi(corr, omegas[:1], grid)
-        with pytest.raises(ValueError, match="correlations"):
-            img.map_multi(corr[:0], [], grid)
+            img.map_multi(total, [], grid)
 
     def test_correlations_validate_like_the_maps(self):
         inc = sigma1_inclusion()
@@ -316,6 +368,44 @@ class TestExports:
         x, y, v = (float(tok) for tok in lines[5].split(","))
         assert (x, y) == (-1.0, -1.0)
         assert v == out.values[0, 0]
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_csv_bytes_match_a_single_join(self, tmp_path, normalized):
+        # values from 1e-9 up write some reprs in scientific notation
+        grid = img.ImageGrid(x_min=-0.3, x_max=0.7, y_min=-1.1, y_max=0.2, nx=7, ny=45)
+        rng = np.random.default_rng(3)
+        values = rng.random((45, 7)) * 10.0 ** rng.uniform(-9, 2, (45, 7))
+        image = img.ImageMap(grid, values, "WMF(2)", (OMEGA_05, 0.8 * OMEGA_05))
+        path = tmp_path / "map.csv"
+        img.save_map_csv(image, path, normalized=normalized)
+        # the writer the blocks replace: every line formatted, then one join
+        vals = image.normalized() if normalized else image.values
+        lines = [
+            "# submig map v1",
+            f"# tag {image.tag}",
+            f"# normalized {'yes' if normalized else 'no'}",
+            "# omegas " + ",".join(repr(w) for w in image.omegas),
+            "x,y,value",
+        ]
+        for y, row in zip(grid.ys.tolist(), vals.tolist()):
+            lines.extend(f"{x!r},{y!r},{v!r}" for x, v in zip(grid.xs.tolist(), row))
+        want = ("\n".join(lines) + "\n").encode("ascii")
+        assert b"e-" in want
+        assert path.read_bytes() == want
+
+    def test_csv_memory_bounded_by_one_row(self, tmp_path):
+        # the 201-square map's 40401 lines are never held at once (a single
+        # join peaked at ~7.5 MiB; one row is ~0.07 MiB)
+        grid = img.ImageGrid(nx=201, ny=201)
+        values = np.random.default_rng(5).random((201, 201))
+        image = img.ImageMap(grid, values, "MF", (OMEGA_05,))
+        tracemalloc.start()
+        try:
+            img.save_map_csv(image, tmp_path / "map.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 2**20, peak / 2**20
 
     def test_pgm_16bit(self, tmp_path):
         out = self._map()
