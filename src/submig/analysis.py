@@ -11,8 +11,9 @@ Gauss-Legendre quadrature per search point, so the 1e-10 tolerances apply to
 that sum.  On the default band near the inclusion (omega r up to ~32) the
 16-point rule on the band and on its two halves already agree, so each
 remainder costs 48 abscissae; the default grid's far corners (omega r
-~61-75) take 112-240.  The closed forms agree with mpmath to ~3e-14
-relative.
+~61-75) take 112-240.  On the fig1 scatterers and band, MF, WMF(1), LOG, E1
+and E2 agree with mpmath to within 1.5e-14 relative at nine points from on
+the curve to near the grid's corner.
 The two improvement diagnostics E1 and E2 quantify why the log-weighted
 functional suppresses artifacts near the scatterers.
 """

@@ -192,8 +192,9 @@ def add_awgn(k: MsrMatrix, snr_db: float, seed: int) -> MsrMatrix:
     """Additive circularly-symmetric complex Gaussian noise at a target SNR.
 
     Per-entry noise variance is P_s * 10^(-snr_db/10) with P_s the mean
-    squared entry magnitude; snr_db = +inf means no noise.  Deterministic
-    for a given integer seed.
+    squared entry magnitude; snr_db = +inf means no noise.  A nonzero matrix
+    whose P_s is below the smallest normal float raises ValueError, since its
+    noise would vanish.  Deterministic for a given integer seed.
     """
     snr_db = float(snr_db)
     factor = _noise_factor(snr_db)
@@ -203,6 +204,12 @@ def add_awgn(k: MsrMatrix, snr_db: float, seed: int) -> MsrMatrix:
         raise ValueError(f"seed must be an integer, got {seed!r}")
     n = k.dirs.count
     signal_power = float(np.mean(np.abs(k.entries) ** 2))
+    if signal_power < np.finfo(float).tiny and np.any(k.entries):
+        # squaring tiny entries underflowed: sigma would be 0 or keep a few bits
+        raise ValueError(
+            f"signal power {signal_power!r} of a nonzero matrix is below the smallest "
+            "normal float, so noise cannot be scaled to it"
+        )
     sigma = math.sqrt(signal_power * factor / 2.0)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
     noise = sigma * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))

@@ -1,21 +1,19 @@
 """Self-contained special functions and quadrature.
 
-Bessel functions of integer order (first kind), a deterministic adaptive
+Bessel functions J0 and J1 (first kind), a deterministic adaptive
 Gauss-Legendre integrator (16-point panels, halved where the rule on an
 interval and on its halves disagree) with fixed tolerances, and the
 closed-form weighted integrals of J0(x)^2 that the imaging analysis relies
-on.  J_n is its power series (Horner's rule in (x/2)^2) below x = 8 and,
-from 8 up, the midpoint rule on its periodic integral representation, which
-converges exponentially (Trefethen & Weideman, SIAM Review 56, 2014).  The
-rule is folded onto (0, pi/2) by the symmetry t -> pi - t and gets just
-enough nodes for its aliasing error to stay below 1e-16 on [8, 200].  No
-external special-function library is used; tests cross-check everything
-against independent high-precision oracles.
+on.  J0 and J1 are the midpoint rule on their periodic integral
+representation at every argument, which converges exponentially (Trefethen &
+Weideman, SIAM Review 56, 2014).  The rule is folded onto (0, pi/2) by the
+symmetry t -> pi - t and gets just enough nodes for its aliasing error to
+stay below 1e-16 on [0, 200].  No external special-function library is used;
+tests cross-check everything against independent high-precision oracles.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -38,48 +36,32 @@ class ConvergenceError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Bessel J_n
+# Bessel J0 and J1
 
-_SERIES_CUTOFF = 8.0  # power series below, midpoint rule on the integral at/above
-_SERIES_TERMS = 27  # below the cutoff the first dropped term is < 1e-20
+_NODE_FLOOR_X = 8.0  # the rule is never sized for an argument below this
 _CHUNK_POINTS = 256  # arguments per block: bounds the (points, nodes) temporaries
-
-
-@functools.lru_cache(maxsize=16)
-def _series_coeffs(n: int) -> tuple[float, ...]:
-    # (-1)^k / (k! (n+k)!), each rounded once from exact integers
-    return tuple(
-        (-1) ** k / (math.factorial(k) * math.factorial(n + k)) for k in range(_SERIES_TERMS)
-    )
-
-
-def _series_plain(n: int, x: np.ndarray) -> np.ndarray:
-    # (x/2)^n sum_k c_k q^k, q = (x/2)^2, by Horner's rule in q
-    half = 0.5 * x
-    q = half * half
-    total = np.zeros_like(x)
-    for c in reversed(_series_coeffs(n)):
-        total *= q
-        total += c
-    return total * half**n if n else total
 
 
 def _node_count(n: int, x_max: float) -> int:
     # the m-node rule's error is about |J_{2m-n}(x)| + |J_{2m+n}(x)|; with
     # 2m - n >= x + 12 x^(1/3) that stays below 1e-16 for x in [8, 200]
-    # (against mpmath).  m is even so that the rule folds.
-    m = math.ceil(0.5 * x_max + 6.0 * x_max ** (1.0 / 3.0)) + n
+    # (against mpmath).  Below 8 the rule keeps the nodes it takes at 8 (16
+    # for J0, 18 for J1), where the error on [0, 8) measures <= 2.2e-16; 16
+    # nodes also make a scalar J0(0) exactly 8 * (2/16) = 1.0.  m is even so
+    # that the rule folds.
+    x = max(x_max, _NODE_FLOOR_X)
+    m = math.ceil(0.5 * x + 6.0 * x ** (1.0 / 3.0)) + n
     return m + m % 2
 
 
 def _integral_midpoint(n: int, x: np.ndarray) -> np.ndarray:
     # the nodes t and pi - t of the m-node rule on [0, pi] pair up: their sum is
-    # 2 cos(n t) cos(x sin t) for even n and 2 sin(n t) sin(x sin t) for odd n
-    m = _node_count(n, float(x.max()))
+    # 2 cos(x sin t) for n = 0 and 2 sin(t) sin(x sin t) for n = 1
+    m = _node_count(n, float(x.max(initial=0.0)))
     tau = (np.arange(m // 2) + 0.5) * (math.pi / m)
     sin_tau = np.sin(tau)
-    wave = np.sin if n % 2 else np.cos
-    weight = wave(n * tau) * (2.0 / m)
+    wave = np.sin if n else np.cos
+    weight = (sin_tau if n else 1.0) * (2.0 / m)
     out = np.empty_like(x)
     for start in range(0, x.size, _CHUNK_POINTS):
         block = wave(x[start : start + _CHUNK_POINTS, None] * sin_tau)
@@ -89,43 +71,31 @@ def _integral_midpoint(n: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bessel_core(n: int, x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    lo = x < _SERIES_CUTOFF
-    if lo.any():
-        out[lo] = _series_plain(n, x[lo])
-    if not lo.all():
-        out[~lo] = _integral_midpoint(n, x[~lo])
-    return out
-
-
 def bessel_j(n: int, x):
-    """Bessel function J_n(x) of the first kind, integer order n >= 0.
+    """Bessel function J_n(x) of the first kind, order n = 0 or 1.
 
-    Below x = 8, the power series in q = (x/2)^2 to 27 terms by Horner's
-    rule (the dropped terms are < 1e-20).  At and above 8, the m-node
-    midpoint rule on J_n(x) = (1/pi) int_0^pi cos(n t - x sin t) dt, whose
-    periodic integrand makes the rule converge exponentially (Trefethen &
-    Weideman, "The exponentially convergent trapezoidal rule", SIAM Review
-    56, 2014).  Its nodes t and pi - t pair up, so m/2 cosines (even n) or
-    sines (odd n) of x sin t give each value.  The error is about
-    |J_{2m-n}(x)| + |J_{2m+n}(x)|, and m = ceil(x/2 + 6 x^(1/3)) + n, rounded
-    up to even with x the largest argument of the call, keeps it below 1e-16
-    on [8, 200].  Accepts scalars or ndarrays; x must be finite and
+    The m-node midpoint rule on J_n(x) = (1/pi) int_0^pi cos(n t - x sin t)
+    dt at every argument; its periodic integrand makes the rule converge
+    exponentially (Trefethen & Weideman, "The exponentially convergent
+    trapezoidal rule", SIAM Review 56, 2014).  Its nodes t and pi - t pair
+    up, so m/2 cosines (J0) or sines (J1) of x sin t give each value.  The
+    error is about |J_{2m-n}(x)| + |J_{2m+n}(x)|, and m = ceil(x/2 + 6
+    x^(1/3)) + n, rounded up to even with x the largest argument of the call
+    but never below 8, keeps it below 1e-16 on [0, 200].  Higher orders are
+    not offered: at small x the rule loses their relative accuracy to
+    cancellation.  Accepts scalars or ndarrays; x must be finite and
     nonnegative.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"order must be a nonnegative integer, got {n!r}")
-    if n < 0:
-        raise ValueError(f"order must be a nonnegative integer, got {n}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n not in (0, 1):
+        raise ValueError(f"order must be 0 or 1, got {n!r}")
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("bessel_j requires finite x")
     if np.any(arr < 0.0):
         raise ValueError("bessel_j requires x >= 0")
     if arr.ndim == 0:
-        return float(_bessel_core(int(n), arr.reshape(1))[0])
-    return _bessel_core(int(n), arr.ravel()).reshape(arr.shape)
+        return float(_integral_midpoint(int(n), arr.reshape(1))[0])
+    return _integral_midpoint(int(n), arr.ravel()).reshape(arr.shape)
 
 
 def bessel_envelope(x):

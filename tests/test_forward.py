@@ -260,6 +260,31 @@ class TestAddAwgn:
             fwd.add_awgn(k, -3083.0, 0)
         assert np.all(np.isfinite(fwd.add_awgn(k, -3000.0, 0).entries))
 
+    @pytest.mark.parametrize("h", [1e-200, 1e-160])
+    def test_underflowing_signal_power_is_a_value_error(self, h):
+        # entries of ~4e-200 square to 0; at h = 1e-160 the power is subnormal
+        inc = geo.ThinInclusion(curve=geo.get_curve("sigma1"), half_thickness=h)
+        k = fwd.assemble_msr(fwd.make_directions(48), 2 * math.pi / 0.5, inc)
+        assert np.any(k.entries)
+        with pytest.raises(ValueError, match="signal power"):
+            fwd.add_awgn(k, 10.0, 0)
+        assert np.array_equal(fwd.add_awgn(k, math.inf, 0).entries, k.entries)
+
+    def test_zero_matrix_gets_zero_noise(self):
+        k = self._clean()
+        zero = fwd.MsrMatrix(k.omega, np.zeros_like(k.entries), k.dirs)
+        out = fwd.add_awgn(zero, 10.0, 0)
+        assert not np.any(out.entries) and out.provenance == "noisy"
+
+    def test_normal_power_noise_follows_its_formula(self):
+        k = self._clean()
+        power = float(np.mean(np.abs(k.entries) ** 2))
+        sigma = math.sqrt(power * 10.0 ** (-10.0 / 10.0) / 2.0)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5)))
+        n = k.dirs.count
+        want = k.entries + sigma * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        assert np.array_equal(fwd.add_awgn(k, 10.0, 5).entries, want)
+
     def test_stream_seed_derivation(self):
         a = fwd.derive_stream_seed(0, 0)
         b = fwd.derive_stream_seed(0, 1)

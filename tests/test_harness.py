@@ -289,7 +289,7 @@ class TestRunExperiment:
             assert (out / name).exists(), name
 
     def test_run_errors_gain_the_config_context(self, monkeypatch):
-        # every config that constructs runs, so the failure is injected
+        # small_config runs cleanly on its own, so the failure is injected
         def failing_svd(matrix):
             raise ValueError("injected failure")
 
@@ -299,6 +299,13 @@ class TestRunExperiment:
         assert isinstance(exc.value.__cause__, ValueError)
         assert str(exc.value.__cause__) == "injected failure"
         assert "curves=sigma1" in str(exc.value) and "injected failure" in str(exc.value)
+
+    def test_underflowing_signal_power_stops_a_noisy_run(self):
+        # the config cannot see the matrix's power without assembling it
+        thin = (harness.InclusionSpec(curve="sigma1", h=1e-200),)
+        with pytest.raises(harness.ExperimentError, match="signal power"):
+            harness.run_experiment(small_config(inclusions=thin, snr_db=10.0))
+        assert harness.run_experiment(small_config(inclusions=thin)).metrics
 
     def test_single_frequency_metrics_use_the_imaged_wavelength(self):
         # F = 1 images at lambda_max alone, so lambda_min changes nothing in the run

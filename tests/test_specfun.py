@@ -42,20 +42,27 @@ class TestBesselJ:
         assert abs(j0_zero_by_bisection() - J0_FIRST_ZERO) < 1e-14
         assert abs(sf.bessel_j(0, J0_FIRST_ZERO)) < 1e-10
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1])
     def test_absolute_accuracy_below_30(self, n):
-        # both sides of the series/integral cutoff at x = 8; the series loses
-        # ~1e-14 to cancellation just below it
+        # across x = 8, below which the rule keeps the node count it takes at 8
         xs = np.concatenate(
             [[0.0], np.linspace(1e-9, 30.0, 411), [8.0 - 1e-12, 8.0, 8.0 + 1e-12]]
         )
         ref = np.array([float(mp.besselj(n, mp.mpf(x))) for x in xs])
-        bound = np.where(xs < 8.0, 2e-14, 5e-15)
-        assert np.all(np.abs(sf.bessel_j(n, xs) - ref) <= bound)
+        assert np.max(np.abs(sf.bessel_j(n, xs) - ref)) <= 5e-15
         scalar = np.array([sf.bessel_j(n, float(x)) for x in xs])
-        assert np.all(np.abs(scalar - ref) <= bound)
+        assert np.max(np.abs(scalar - ref)) <= 5e-15
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_dense_around_8(self, n):
+        # both sides of the node floor, densely
+        xs = np.linspace(7.9, 8.1, 801)
+        ref = np.array([float(mp.besselj(n, mp.mpf(x))) for x in xs])
+        assert np.max(np.abs(sf.bessel_j(n, xs) - ref)) <= 1e-15
+        scalar = np.array([sf.bessel_j(n, float(x)) for x in xs])
+        assert np.max(np.abs(scalar - ref)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [0, 1])
     def test_absolute_accuracy_from_8_to_200(self, n):
         # a scalar call sizes the rule by its own argument, the tightest case;
         # a batch sizes it by the largest, and a short block by its own largest
@@ -67,7 +74,7 @@ class TestBesselJ:
         blocks = np.concatenate([sf.bessel_j(n, part) for part in np.array_split(xs, 48)])
         assert np.max(np.abs(blocks - ref)) <= 5e-15
 
-    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("n", [0, 1])
     def test_relative_accuracy_above_30(self, n):
         xs = np.linspace(30.5, 200.0, 307)
         for x in xs:
@@ -84,7 +91,7 @@ class TestBesselJ:
 
     def test_small_argument_form(self):
         xs = np.linspace(1e-6, 0.0099, 57)
-        for n in (0, 1, 2):
+        for n in (0, 1):
             lead = (xs / 2.0) ** n / math.gamma(n + 1)
             assert np.all(np.abs(sf.bessel_j(n, xs) - lead) < xs ** (n + 2))
 
@@ -106,6 +113,10 @@ class TestBesselJ:
             sf.bessel_j(-1, 1.0)
         with pytest.raises(ValueError):
             sf.bessel_j(0.5, 1.0)
+        with pytest.raises(ValueError, match="order must be 0 or 1"):
+            sf.bessel_j(2, 1.0)
+        with pytest.raises(ValueError, match="order must be 0 or 1"):
+            sf.bessel_j(True, 1.0)
 
     def test_array_shape_preserved(self):
         x = np.linspace(0, 20, 12).reshape(3, 4)
