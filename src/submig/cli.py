@@ -13,6 +13,7 @@ import sys
 from .harness import (
     PRESETS,
     ExperimentConfig,
+    ExperimentError,
     apply_settings,
     load_config,
     preset_config,
@@ -87,7 +88,12 @@ def main(argv=None) -> int:
         cfg = config_from_args(args)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))  # exits with status 2
-    report = run_experiment(cfg)
+    try:
+        report = run_experiment(cfg)
+    except ExperimentError as exc:
+        # a run-time failure of a valid config: one line, no traceback
+        print(f"submig: error: {exc}", file=sys.stderr)
+        return 1
     print(f"config {report.config_hash[:12]} seed {cfg.seed}")
     print(f"effective ranks per frequency: {list(report.m_eff)}")
     for tag in cfg.functionals:

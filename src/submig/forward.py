@@ -194,7 +194,8 @@ def add_awgn(k: MsrMatrix, snr_db: float, seed: int) -> MsrMatrix:
     Per-entry noise variance is P_s * 10^(-snr_db/10) with P_s the mean
     squared entry magnitude; snr_db = +inf means no noise.  A nonzero matrix
     whose P_s is below the smallest normal float raises ValueError, since its
-    noise would vanish.  Deterministic for a given integer seed.
+    noise would vanish, and so does one whose P_s overflows.  Deterministic
+    for a given integer seed.
     """
     snr_db = float(snr_db)
     factor = _noise_factor(snr_db)
@@ -203,7 +204,12 @@ def add_awgn(k: MsrMatrix, snr_db: float, seed: int) -> MsrMatrix:
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     n = k.dirs.count
-    signal_power = float(np.mean(np.abs(k.entries) ** 2))
+    with np.errstate(over="ignore"):
+        signal_power = float(np.mean(np.abs(k.entries) ** 2))
+    if signal_power == math.inf:
+        raise ValueError(
+            "signal power of the matrix overflows a float, so noise cannot be scaled to it"
+        )
     if signal_power < np.finfo(float).tiny and np.any(k.entries):
         # squaring tiny entries underflowed: sigma would be 0 or keep a few bits
         raise ValueError(

@@ -5,16 +5,30 @@ c_f(z) = w(z)^H U_m V_m^H conj(w(z)) of a unit-norm steering vector with the
 thresholded signal subspace of the response matrix.  SF is |c_F| at the
 finest wavelength; MF, WMF(n) and LOG are |sum_f xi_f c_f| with weights
 xi_f = 1/F, omega_f^n and ln omega_f, named by one tag vocabulary.
-``subspace_correlations`` computes each c_f once, into one reused buffer,
-and adds xi_f c_f into one sum per tag, so memory holds one map per tag
-whatever the frequency count; ``map_multi`` turns a tag's sum into its map,
-and ``map_single`` is SF of one matrix.  Steering vectors are built from
-separable x and y phase tables, and since the bilinear form sees only the
-symmetric part of U_m V_m^H, each c_f is one matrix product over direction
-pairs j <= l: a (ny, pairs) table of weighted y products times a
-(pairs, nx) table of x products.  The pairs go in fixed-size blocks, so
-memory stays bounded on large grids whatever the direction count; values
-agree with the pointwise formula to rounding.
+Steering vectors are built from separable x and y phase tables, and since
+the bilinear form sees only the symmetric part of U_m V_m^H, each c_f is
+one matrix product over direction pairs j <= l: a (rows, pairs) table of
+weighted y products times a (pairs, columns) table of x products.  The
+pairs go in fixed-size blocks, so memory stays bounded whatever the
+direction count.
+
+``subspace_correlations`` computes each c_f once, not on the grid but on a
+core: K_y x K_x Chebyshev points of the second kind spanning the grid.  c_f
+is a sum of plane waves exp(-i omega_f (theta_j + theta_l) . z), so on an
+axis of half-width h, mapped to t in [-1, 1], each factor is exp(-i k t)
+with |k| <= kappa = 2 omega_max h, whose Chebyshev coefficients are
+2 i^n J_n(k) (Jacobi-Anger).  K = 2 ``specfun._node_count(0, kappa)``, the
+tail rule of the Bessel quadrature, puts J_K(kappa) below 1e-17, so
+interpolation from the core is exact to rounding (K = 84 at the presets'
+kappa = 41.9).  The nodes depend on the grid and the band alone, so each
+tag's sum_f xi_f c_f is summed on the core, and each tag's sum is expanded
+to the grid once, as L_y core L_x^T with L the barycentric interpolation
+matrix (Berrut & Trefethen, "Barycentric Lagrange interpolation", SIAM
+Review 46(3), 2004).  An axis of at most K grid points is its own node set,
+with L = I, so there c_f is computed at the grid points themselves.  Memory
+holds one core per tag and one core buffer, whatever the frequency count;
+``map_multi`` turns a tag's sum into its map, and ``map_single`` is SF of
+one matrix.  Values agree with the pointwise formula to rounding.
 """
 
 from __future__ import annotations
@@ -24,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import ConfigurationError, DirectionSet, MsrMatrix
+from .specfun import _node_count
 from .spectral import DEFAULT_RANK_THRESHOLD, SvdFactors, effective_rank
 
 __all__ = [
@@ -144,22 +159,23 @@ def test_vector(
     return w / np.linalg.norm(amps)
 
 
-# direction pairs per matrix product: a block's temporaries are (nx + ny) pair
-# columns, whatever the direction count
+# direction pairs per matrix product: a block's temporaries are (columns + rows)
+# pair columns, whatever the direction count
 _CHUNK_PAIRS = 256
 
 
 def _subspace_correlation(
     k: MsrMatrix,
     factors: SvdFactors,
-    grid: ImageGrid,
+    xs: np.ndarray,
+    ys: np.ndarray,
     cfg: SteeringConfig,
     tau: float,
     out: np.ndarray,
 ) -> None:
-    # c(z) = w(z)^H P conj(w(z)) with P = U_m V_m^H, written into out.
-    # conj(w_j(x, y)) = X_j(x) Y_j(y) splits into an x table and a y table, and
-    # the bilinear form sees only the symmetric part of P, so
+    # c(x, y) = w^H P conj(w) with P = U_m V_m^H at every (xs, ys) pair, written
+    # into out[y, x].  conj(w_j(x, y)) = X_j(x) Y_j(y) splits into an x table
+    # and a y table, and the bilinear form sees only the symmetric part of P, so
     #   c[y, x] = sum_{j <= l} s_jl (Y_j Y_l)(y) (X_j X_l)(x),
     # s_jj = P_jj, s_jl = P_jl + P_lj: one matrix product per block of pairs
     m_eff = effective_rank(factors, tau)
@@ -170,8 +186,8 @@ def _subspace_correlation(
     amps = _direction_amplitudes(k.dirs, cfg)
     amps = amps / np.linalg.norm(amps)
     thetas = k.dirs.thetas
-    x_table = amps[:, None] * np.exp(-1j * k.omega * np.outer(thetas[:, 0], grid.xs))
-    y_table = np.exp(-1j * k.omega * np.outer(thetas[:, 1], grid.ys))
+    x_table = amps[:, None] * np.exp(-1j * k.omega * np.outer(thetas[:, 0], xs))
+    y_table = np.exp(-1j * k.omega * np.outer(thetas[:, 1], ys))
     projector = factors.u[:, :m_eff] @ factors.v[:, :m_eff].conj().T
     symmetric = projector + projector.T
     np.fill_diagonal(symmetric, np.diagonal(projector))
@@ -188,6 +204,36 @@ def _subspace_correlation(
             np.matmul(yy.T, xx, out=out)
         else:
             out += yy.T @ xx
+
+
+def _interpolation_matrix(points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    # the (points, nodes) matrix of the barycentric formula of the second kind
+    # at Chebyshev points of the second kind, whose weights are (-1)^k, halved
+    # at both ends; a point that is a node takes that node's value alone
+    weights = np.where(np.arange(nodes.size) % 2 == 0, 1.0, -1.0)
+    weights[[0, -1]] *= 0.5
+    diff = points[:, None] - nodes
+    on_node = diff == 0.0
+    diff[on_node] = 1.0
+    matrix = weights / diff
+    matrix /= matrix.sum(axis=1, keepdims=True)
+    hits = on_node.any(axis=1)
+    matrix[hits] = on_node[hits]
+    return matrix
+
+
+def _axis_nodes(points: np.ndarray, kappa: float) -> tuple[np.ndarray, np.ndarray | None]:
+    # an axis's correlation nodes and the matrix that interpolates from them to
+    # the axis's points: K Chebyshev points of the second kind when the axis
+    # has more than K points, else the points themselves (None: no expansion)
+    count = 2 * _node_count(0, kappa)
+    if points.size <= count:
+        return points, None
+    lo, hi = points[0], points[-1]
+    # ascending, and symmetric about the midpoint to rounding: -1 and 1 exactly
+    t = np.sin(0.5 * np.pi * np.arange(1 - count, count, 2) / (count - 1))
+    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
+    return nodes, _interpolation_matrix(points, nodes)
 
 
 def map_single(
@@ -234,9 +280,12 @@ def subspace_correlations(
 
     The sum is ``sum_f xi_f c_f`` with the tag's weights (``xi_f = 1`` for
     MF), as a complex ``(ny, nx)`` array, and ``c_F`` alone for SF.  Each
-    c_f is computed once, into one buffer reused across frequencies, so the
-    pass holds one map per tag plus that buffer, whatever the frequency
-    count.  ``map_multi`` turns a sum into its map.
+    c_f is computed once, on a core of Chebyshev nodes sized by the largest
+    frequency (the grid points on an axis that has no more points than
+    nodes), into one buffer reused across frequencies; each tag's sum is
+    summed on the core and expanded to the grid once.  The pass holds one
+    core per tag plus that buffer, whatever the frequency count.
+    ``map_multi`` turns a sum into its map.
     """
     if cfg is None:
         cfg = SteeringConfig()
@@ -250,19 +299,33 @@ def subspace_correlations(
             raise ConfigurationError("all matrices must share one direction set")
     omegas = [float(k.omega) for k, _ in ks]
     weights = {tag: _weights(tag, omegas) for tag in tags}
+    # along an axis of half-width h, a pair's phase omega (theta_j + theta_l) z
+    # changes by at most 2 omega_max h between the centre and either end
+    omega_max = max(omegas)
+    xs, x_expand = _axis_nodes(grid.xs, omega_max * (grid.x_max - grid.x_min))
+    ys, y_expand = _axis_nodes(grid.ys, omega_max * (grid.y_max - grid.y_min))
     sums = {
-        tag: np.zeros((grid.ny, grid.nx), dtype=complex)
+        tag: np.zeros((ys.size, xs.size), dtype=complex)
         for tag, xi in weights.items()
         if xi is not None
     }
-    c_f = np.empty((grid.ny, grid.nx), dtype=complex)
+    core = np.empty((ys.size, xs.size), dtype=complex)
     for f, (k, factors) in enumerate(ks):
-        _subspace_correlation(k, factors, grid, cfg, tau, out=c_f)
+        _subspace_correlation(k, factors, xs, ys, cfg, tau, out=core)
         # frequency by frequency, each tag's sum takes its terms in order f = 0..F-1
         for tag, total in sums.items():
-            total += weights[tag][f] * c_f
-    # after the last frequency the buffer holds c_F, SF's sum
-    return {tag: c_f if xi is None else sums[tag] for tag, xi in weights.items()}
+            total += weights[tag][f] * core
+    # after the last frequency the buffer holds c_F, SF's sum; each tag's sum
+    # is expanded to the grid as L_y total L_x^T, an identity factor skipped
+    expanded = {}
+    for tag, xi in weights.items():
+        total = core if xi is None else sums[tag]
+        if y_expand is not None:
+            total = y_expand @ total
+        if x_expand is not None:
+            total = total @ x_expand.T
+        expanded[tag] = total
+    return expanded
 
 
 def map_multi(

@@ -270,6 +270,16 @@ class TestAddAwgn:
             fwd.add_awgn(k, 10.0, 0)
         assert np.array_equal(fwd.add_awgn(k, math.inf, 0).entries, k.entries)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_signal_power_is_a_value_error(self):
+        # entries of ~1e153 are finite, but their mean square overflows
+        inc = geo.ThinInclusion(curve=geo.get_curve("sigma1"), half_thickness=6e150)
+        k = fwd.assemble_msr(fwd.make_directions(48), 2 * math.pi / 0.3, inc)
+        assert np.all(np.isfinite(k.entries))
+        with pytest.raises(ValueError, match="signal power of the matrix overflows"):
+            fwd.add_awgn(k, 10.0, 0)
+        assert np.array_equal(fwd.add_awgn(k, math.inf, 0).entries, k.entries)
+
     def test_zero_matrix_gets_zero_noise(self):
         k = self._clean()
         zero = fwd.MsrMatrix(k.omega, np.zeros_like(k.entries), k.dirs)

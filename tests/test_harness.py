@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from submig import cli
 from submig import forward as fwd
 from submig import geometry as geo
 from submig import harness
@@ -1072,6 +1073,27 @@ class TestCli:
         assert proc.stderr.count("submig: error: ") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+    @pytest.mark.parametrize("h", ["1e-200", "6e150"])
+    def test_run_failure_is_one_line(self, h, capsys, tmp_path):
+        # the config is valid, but its matrices underflow or overflow in the run
+        out = tmp_path / "out"
+        argv = ["--preset", "fig1", "--grid", "11", "--F", "2", "--h", h, "--out-dir", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("submig: error: experiment failed [curves=sigma1 ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert not out.exists()
+
+    def test_other_failures_propagate(self, monkeypatch):
+        def failing_run(cfg):
+            raise KeyError("not an experiment error")
+
+        monkeypatch.setattr(cli, "run_experiment", failing_run)
+        with pytest.raises(KeyError, match="not an experiment error"):
+            main(["--preset", "fig1", "--grid", "11"])
+
 
 def test_list_presets_output(capsys):
     # the presets are built on demand; the listing is pinned byte for byte
@@ -1107,10 +1129,10 @@ def test_import_builds_no_config():
     assert proc.stdout == "False True\n"
 
 
-def test_artifacts_independent_of_blas_threads(tmp_path):
-    # a reduced fig4 in fresh interpreters at one and two BLAS threads (set
-    # before numpy is imported), and in this process
-    argv = ["--preset", "fig4", "--grid", "41", "--F", "3", "--out-dir"]
+def assert_artifacts_independent_of_blas_threads(tmp_path, argv, last_msr):
+    # the run in fresh interpreters at one and two BLAS threads (set before
+    # numpy is imported), and in this process
+    argv = [*argv, "--out-dir"]
     src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = {}
     for threads in ("1", "2"):
@@ -1126,7 +1148,7 @@ def test_artifacts_independent_of_blas_threads(tmp_path):
     assert main([*argv, str(outputs["in-process"])]) == 0
     names = sorted(p.name for p in outputs["1"].iterdir())
     assert names == sorted(p.name for p in outputs["2"].iterdir())
-    assert any(n.endswith(".pgm") for n in names) and "msr_f02.txt" in names
+    assert any(n.endswith(".pgm") for n in names) and last_msr in names
     for name in names:
         one = (outputs["1"] / name).read_bytes()
         two = (outputs["2"] / name).read_bytes()
@@ -1138,6 +1160,24 @@ def test_artifacts_independent_of_blas_threads(tmp_path):
     assert len(maps) == 3 * 3
     for name in maps:
         assert (outputs["in-process"] / name).read_bytes() == (outputs["1"] / name).read_bytes()
+
+
+def test_artifacts_independent_of_blas_threads(tmp_path):
+    # a reduced fig4: 41 points per axis are fewer than the 84 correlation
+    # nodes, so the correlations are taken at the grid points
+    assert_artifacts_independent_of_blas_threads(
+        tmp_path, ["--preset", "fig4", "--grid", "41", "--F", "3"], "msr_f02.txt"
+    )
+
+
+def test_expanded_artifacts_independent_of_blas_threads(tmp_path):
+    # 121 points per axis are more than the 84 correlation nodes, so each
+    # map is expanded from its core
+    grid = img.ImageGrid(nx=121, ny=121)
+    assert img._axis_nodes(grid.xs, 2 * (2 * math.pi / 0.3))[1] is not None
+    assert_artifacts_independent_of_blas_threads(
+        tmp_path, ["--preset", "fig1", "--grid", "121", "--F", "2"], "msr_f01.txt"
+    )
 
 
 def test_benchmark_bindings_resolve():

@@ -7,7 +7,7 @@ import pytest
 from submig import forward as fwd
 from submig import geometry as geo
 from submig import imaging as img
-from submig import spectral
+from submig import specfun, spectral
 
 OMEGA_05 = 2 * math.pi / 0.5
 
@@ -130,6 +130,21 @@ def random_factors(n, omega, seed, sigma_min=1e-3):
     return k, spectral.SvdFactors(u=u, s=s, v=v)
 
 
+def expanded_axes(grid, omega):
+    # whether each axis is interpolated from Chebyshev nodes at this band edge
+    x = img._axis_nodes(grid.xs, omega * (grid.x_max - grid.x_min))[1] is not None
+    y = img._axis_nodes(grid.ys, omega * (grid.y_max - grid.y_min))[1] is not None
+    return x, y
+
+
+def assert_sf_matches_pointwise(grid, cfg, expanded):
+    _, ks = pipeline(sigma1_inclusion(), [0.4], n=32, snr_db=10.0, seed=5)
+    assert expanded_axes(grid, ks[0][0].omega) == expanded
+    got = img.map_single(*ks[0], grid, cfg).values
+    want = np.abs(pointwise_correlation(*ks[0], grid, cfg))
+    assert np.max(np.abs(got - want)) <= 1e-13 * want.max()
+
+
 class TestCorrelationKernel:
     @pytest.mark.parametrize(
         "grid, cfg",
@@ -140,11 +155,69 @@ class TestCorrelationKernel:
         ],
     )
     def test_matches_pointwise_definition(self, grid, cfg):
-        inc = sigma1_inclusion()
-        dirs, ks = pipeline(inc, [0.4], n=32, snr_db=10.0, seed=5)
-        got = img.map_single(*ks[0], grid, cfg).values
-        want = np.abs(pointwise_correlation(*ks[0], grid, cfg))
-        assert np.max(np.abs(got - want)) <= 1e-13 * want.max()
+        assert_sf_matches_pointwise(grid, cfg, (False, False))
+
+    # at lambda = 0.4 an axis of width 2 has K = 72 nodes, x in [-2, 0.5] 84,
+    # x in [-0.3, 0.6] 44 and y in [-1.2, 0.9] 72
+    @pytest.mark.parametrize(
+        "grid, cfg, expanded",
+        [
+            (img.ImageGrid(nx=101, ny=97), img.SteeringConfig(), (True, True)),
+            (img.ImageGrid(x_min=-2, x_max=0.5, nx=120, ny=40), img.SteeringConfig(c=(1, 1, 0)),
+             (True, False)),
+            (img.ImageGrid(x_min=-0.3, x_max=0.6, y_min=-1.2, y_max=0.9, nx=33, ny=150),
+             img.SteeringConfig(c=(1, 0.5, -1)), (False, True)),
+        ],
+        ids=["both-axes", "x-axis", "y-axis"],
+    )
+    def test_expanded_axes_match_pointwise_definition(self, grid, cfg, expanded):
+        assert_sf_matches_pointwise(grid, cfg, expanded)
+
+    # kappa = 2 omega h on an axis of half-width h, from below the rule's floor
+    # at 8 to the top of its range; the grid has one point more than nodes
+    @pytest.mark.parametrize("kappa", [5.0, 12.0, 30.0, 41.9, 75.0, 130.0, 200.0])
+    def test_node_rule_across_kappa(self, kappa):
+        k, factors = random_factors(24, OMEGA_05, seed=int(kappa))
+        cfg = img.SteeringConfig(c=(1, 1, 0))
+        half = kappa / (2 * OMEGA_05)
+        count = 2 * specfun._node_count(0, kappa)
+        # the long axis off the origin, the short axis taken at its points
+        long_axis = dict(x_min=0.3 - half, x_max=0.3 + half, nx=count + 1)
+        short_axis = dict(y_min=-0.2, y_max=0.25, ny=9)
+        for grid in (
+            img.ImageGrid(**long_axis, **short_axis),
+            img.ImageGrid(
+                x_min=short_axis["y_min"], x_max=short_axis["y_max"], nx=9,
+                y_min=long_axis["x_min"], y_max=long_axis["x_max"], ny=count + 1,
+            ),
+        ):
+            assert sum(expanded_axes(grid, k.omega)) == 1
+            got = img.subspace_correlations([(k, factors)], grid, cfg, tags=("SF",))["SF"]
+            want = pointwise_correlation(k, factors, grid, cfg)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_interpolation_keeps_node_values(self):
+        grid = img.ImageGrid(x_min=-0.7, x_max=1.3, nx=150)
+        nodes, matrix = img._axis_nodes(grid.xs, 30.0)
+        assert matrix.shape == (150, nodes.size) and np.all(np.diff(nodes) > 0)
+        # at the nodes themselves the matrix is the identity, bit for bit
+        assert np.array_equal(img._interpolation_matrix(nodes, nodes), np.eye(nodes.size))
+        # a point on a node takes that node's value alone; the others interpolate
+        values = np.random.default_rng(0).standard_normal(nodes.size)
+        points = np.array([nodes[3], 0.123, nodes[-1], nodes[0], nodes[40]])
+        got = img._interpolation_matrix(points, nodes) @ values
+        assert np.array_equal(got[[0, 2, 3, 4]], values[[3, -1, 0, 40]])
+        # the weights are those of the nodes: T_{K-1}(x - 0.3) on [-0.7, 1.3] is kept
+        def chebyshev(x):
+            return np.cos((nodes.size - 1) * np.arccos(np.clip(x - 0.3, -1.0, 1.0)))
+
+        assert np.max(np.abs(matrix @ chebyshev(nodes) - chebyshev(grid.xs))) <= 1e-12
+
+    def test_grid_ends_are_nodes_on_the_unit_square(self):
+        grid = img.ImageGrid(nx=201, ny=201)
+        nodes, matrix = img._axis_nodes(grid.xs, 41.9)
+        assert nodes.size == 84 and (nodes[0], nodes[-1]) == (-1.0, 1.0)
+        assert np.array_equal(matrix[[0, -1]], np.eye(84)[[0, -1]])
 
     # pair counts n(n+1)/2 against blocks of 256: 136 is under one block, 130816
     # is exactly 511 blocks, 1176 is four blocks and 152 pairs
@@ -327,6 +400,32 @@ class TestMapMulti:
                 img.map_multi(sums[tag], omegas, grid, tag).values,
                 np.abs(want) / (len(ks) if tag == "MF" else 1),
             ), tag
+
+    def test_sums_are_summed_on_the_core_and_expanded_once(self):
+        # on a grid above K each tag's sum is the loop over separately computed
+        # per-frequency cores, expanded to the grid once: bit for bit
+        _, ks = pipeline(sigma1_inclusion(), [0.5, 0.45, 0.4, 0.35], snr_db=10.0, seed=4)
+        grid = img.ImageGrid(x_min=-1.1, x_max=0.9, nx=131, ny=97)
+        omegas = [k.omega for k, _ in ks]
+        assert expanded_axes(grid, max(omegas)) == (True, True)
+        xs, x_expand = img._axis_nodes(grid.xs, max(omegas) * (grid.x_max - grid.x_min))
+        ys, y_expand = img._axis_nodes(grid.ys, max(omegas) * (grid.y_max - grid.y_min))
+        cfg = img.SteeringConfig()
+        stored = []
+        for k, factors in ks:
+            stored.append(np.empty((ys.size, xs.size), dtype=complex))
+            img._subspace_correlation(k, factors, xs, ys, cfg, 0.01, out=stored[-1])
+        tags = ("SF", "MF", "WMF(2)", "LOG")
+        sums = img.subspace_correlations(ks, grid, tags=tags)
+        for tag in tags:
+            xi = img._weights(tag, omegas)
+            if xi is None:
+                core = stored[-1]
+            else:
+                core = np.zeros((ys.size, xs.size), dtype=complex)
+                for c_f, xi_f in zip(stored, xi):
+                    core += xi_f * c_f
+            assert np.array_equal(sums[tag], y_expand @ core @ x_expand.T), tag
 
     def test_mismatched_correlations_rejected(self):
         inc = sigma1_inclusion()
