@@ -90,8 +90,8 @@ def main(argv=None) -> int:
         parser.error(str(exc))  # exits with status 2
     try:
         report = run_experiment(cfg)
-    except ExperimentError as exc:
-        # a run-time failure of a valid config: one line, no traceback
+    except (ExperimentError, OSError) as exc:
+        # a valid config's run or output files failed: one line, no traceback
         print(f"submig: error: {exc}", file=sys.stderr)
         return 1
     print(f"config {report.config_hash[:12]} seed {cfg.seed}")

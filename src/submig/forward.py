@@ -278,10 +278,15 @@ def load_msr(path) -> MsrMatrix:
         elif i > 0:
             body_start = i
             break
+    missing = [key for key in ("n", "omega") if key not in header]
+    if missing:
+        raise ValueError(f"{path}: missing header line '# {missing[0]}'")
     n = int(header["n"])
     rows = []
-    for line in lines[body_start : body_start + n]:
+    for row, line in enumerate(lines[body_start : body_start + n]):
         vals = [float(tok) for tok in line.split()]
+        if len(vals) != 2 * n:
+            raise ValueError(f"{path}: matrix row {row} has {len(vals)} values, expected {2 * n}")
         rows.append([complex(re, im) for re, im in zip(vals[0::2], vals[1::2])])
     snr = header.get("snr_db", "none")
     seed = header.get("seed", "none")

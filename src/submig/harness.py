@@ -3,14 +3,13 @@
 A run assembles one response matrix per frequency (summed over inclusions),
 optionally adds calibrated noise, factors each matrix, evaluates the
 requested imaging functionals, and scores each map against the true curves
-by sidelobe energy and localization error.  Every functional is read off
-one pass of per-frequency subspace correlations (an SF-only run computes the
-finest wavelength's alone).  Every map is scored against one field of the
-grid that is exact wherever the metrics read it: bounds decide most points'
-side of the tube, and one ``distance_to_curves`` call gives the exact
-distance at the rest and at each map's top points.  A configuration that
-cannot run is rejected when it is built.  All outputs are deterministic for
-a fixed configuration and seed.
+by sidelobe energy and localization error.  Every functional is its
+weighted sum over one pass of per-frequency subspace correlations.  Every
+map is scored against one field of the grid that is exact wherever the
+metrics read it: bounds decide most points' side of the tube, and one
+``distance_to_curves`` call gives the exact distance at the rest and at each
+map's top points.  A configuration that cannot run is rejected when it is
+built.  All outputs are deterministic for a fixed configuration and seed.
 
 When a run persists, a forked child writes most of the map files (most of
 its bytes) while this process scores the maps and writes the rest.  This
@@ -60,7 +59,7 @@ from .imaging import (
     SteeringConfig,
     _weights,
     map_multi,
-    map_single,
+    map_single,  # not called: perfbench/spans.py binds it, and its bindings must resolve
     save_map_csv,
     save_map_pgm,
     subspace_correlations,
@@ -557,15 +556,11 @@ def _run(cfg: ExperimentConfig) -> ExperimentReport:
         k = add_awgn(k, cfg.snr_db, derive_stream_seed(cfg.seed, index))
         ks.append((k, svd(k)))
 
-    if cfg.functionals == ("SF",):
-        # the finest wavelength's correlation alone
-        maps = {"SF": map_single(*ks[-1], cfg.grid, steering, cfg.tau)}
-    else:
-        # each frequency's correlation once, summed into every tag's weighted sum
-        sums = subspace_correlations(ks, cfg.grid, steering, cfg.tau, cfg.functionals)
-        omegas = tuple(float(w) for w in freqs.omegas)
-        # each sum is released once its map is made
-        maps = {tag: map_multi(sums.pop(tag), omegas, cfg.grid, tag) for tag in cfg.functionals}
+    # each frequency's correlation once, summed into every tag's weighted sum
+    sums = subspace_correlations(ks, cfg.grid, steering, cfg.tau, cfg.functionals)
+    omegas = tuple(float(w) for w in freqs.omegas)
+    # each sum is released once its map is made
+    maps = {tag: map_multi(sums.pop(tag), omegas, cfg.grid, tag) for tag in cfg.functionals}
 
     if cfg.out_dir is None:
         return _score(cfg, inclusions, freqs, ks, maps)

@@ -1,10 +1,11 @@
 """Steering vectors and the subspace-migration imaging functionals.
 
-Every functional is built from the same per-frequency subspace correlation
-c_f(z) = w(z)^H U_m V_m^H conj(w(z)) of a unit-norm steering vector with the
-thresholded signal subspace of the response matrix.  SF is |c_F| at the
-finest wavelength; MF, WMF(n) and LOG are |sum_f xi_f c_f| with weights
-xi_f = 1/F, omega_f^n and ln omega_f, named by one tag vocabulary.
+Every functional is |sum_f xi_f c_f| of the same per-frequency subspace
+correlation c_f(z) = w(z)^H U_m V_m^H conj(w(z)) of a unit-norm steering
+vector with the thresholded signal subspace of the response matrix; the
+functionals differ only in their weights xi_f, named by one tag vocabulary:
+SF puts weight 1 on the finest wavelength and 0 elsewhere, and MF, WMF(n)
+and LOG weigh every frequency by 1/F, omega_f^n and ln omega_f.
 Steering vectors are built from separable x and y phase tables, and since
 the bilinear form sees only the symmetric part of U_m V_m^H, each c_f is
 one matrix product over direction pairs j <= l: a (rows, pairs) table of
@@ -27,8 +28,9 @@ matrix (Berrut & Trefethen, "Barycentric Lagrange interpolation", SIAM
 Review 46(3), 2004).  An axis of at most K grid points is its own node set,
 with L = I, so there c_f is computed at the grid points themselves.  Memory
 holds one core per tag and one core buffer, whatever the frequency count;
-``map_multi`` turns a tag's sum into its map, and ``map_single`` is SF of
-one matrix.  Values agree with the pointwise formula to rounding.
+a frequency that no tag weighs is not computed.  ``map_multi`` turns a
+tag's sum into its map, |sum|, and ``map_single`` is SF of one matrix.
+Values agree with the pointwise formula to rounding.
 """
 
 from __future__ import annotations
@@ -248,12 +250,12 @@ def map_single(
     return map_multi(sums["SF"], (k.omega,), grid, "SF")
 
 
-def _weights(tag: str, omegas: list[float]) -> np.ndarray | None:
-    # the one tag parser: a tag's weights xi_f over omegas, None for SF (|c_F| alone)
+def _weights(tag: str, omegas: list[float]) -> np.ndarray:
+    # the one tag parser: a tag's weights xi_f over omegas, the functional itself
     if tag == "SF":
-        return None
+        return (np.arange(len(omegas)) == len(omegas) - 1).astype(float)
     if tag == "MF":
-        return np.ones(len(omegas))
+        return np.ones(len(omegas)) / len(omegas)
     if tag == "LOG":
         if any(w <= 1.0 for w in omegas):
             raise ValueError(
@@ -278,14 +280,15 @@ def subspace_correlations(
 ) -> dict[str, np.ndarray]:
     """Each tag's weighted correlation sum over the frequencies of ``ks``.
 
-    The sum is ``sum_f xi_f c_f`` with the tag's weights (``xi_f = 1`` for
-    MF), as a complex ``(ny, nx)`` array, and ``c_F`` alone for SF.  Each
-    c_f is computed once, on a core of Chebyshev nodes sized by the largest
-    frequency (the grid points on an axis that has no more points than
-    nodes), into one buffer reused across frequencies; each tag's sum is
-    summed on the core and expanded to the grid once.  The pass holds one
-    core per tag plus that buffer, whatever the frequency count.
-    ``map_multi`` turns a sum into its map.
+    The sum is ``sum_f xi_f c_f`` with the tag's weights ``_weights(tag,
+    omegas)``, as a complex ``(ny, nx)`` array.  A frequency that no tag
+    weighs is skipped, so SF alone computes only c_F.  Each c_f is computed
+    once, on a core of Chebyshev nodes sized by the largest frequency (the
+    grid points on an axis that has no more points than nodes), into one
+    buffer reused across frequencies; each tag's sum is summed on the core
+    and expanded to the grid once.  The pass holds one core per tag plus
+    that buffer, whatever the frequency count.  ``map_multi`` turns a sum
+    into its map.
     """
     if cfg is None:
         cfg = SteeringConfig()
@@ -304,28 +307,24 @@ def subspace_correlations(
     omega_max = max(omegas)
     xs, x_expand = _axis_nodes(grid.xs, omega_max * (grid.x_max - grid.x_min))
     ys, y_expand = _axis_nodes(grid.ys, omega_max * (grid.y_max - grid.y_min))
-    sums = {
-        tag: np.zeros((ys.size, xs.size), dtype=complex)
-        for tag, xi in weights.items()
-        if xi is not None
-    }
+    sums = {tag: np.zeros((ys.size, xs.size), dtype=complex) for tag in tags}
     core = np.empty((ys.size, xs.size), dtype=complex)
     for f, (k, factors) in enumerate(ks):
+        terms = {tag: xi[f] for tag, xi in weights.items() if xi[f] != 0.0}
+        if not terms:
+            continue
         _subspace_correlation(k, factors, xs, ys, cfg, tau, out=core)
         # frequency by frequency, each tag's sum takes its terms in order f = 0..F-1
-        for tag, total in sums.items():
-            total += weights[tag][f] * core
-    # after the last frequency the buffer holds c_F, SF's sum; each tag's sum
-    # is expanded to the grid as L_y total L_x^T, an identity factor skipped
-    expanded = {}
-    for tag, xi in weights.items():
-        total = core if xi is None else sums[tag]
+        for tag, xi_f in terms.items():
+            sums[tag] += xi_f * core
+    # each tag's sum is expanded to the grid as L_y total L_x^T, skipping an identity
+    for tag, total in sums.items():
         if y_expand is not None:
             total = y_expand @ total
         if x_expand is not None:
             total = total @ x_expand.T
-        expanded[tag] = total
-    return expanded
+        sums[tag] = total
+    return sums
 
 
 def map_multi(
@@ -337,24 +336,19 @@ def map_multi(
     """Subspace migration map SF, MF, WMF(n) or LOG from its correlation sum.
 
     ``total`` is ``subspace_correlations(ks, grid, cfg, tau, tags)[weight]``
-    and ``omegas`` the frequencies of ``ks``, in the same order.  SF is
-    |c_F|, tagged with the last frequency alone.  The unweighted map (MF)
-    carries the 1/F normalization; the weighted maps are raw magnitudes of
-    the weighted double sum.
+    and ``omegas`` the frequencies of ``ks``, in the same order.  The map is
+    ``|total|``, tagged with the frequencies the weight does not zero (the
+    last alone for SF); ``omegas`` labels the map and changes no value.
     """
     omegas = [float(w) for w in omegas]
-    _weights(weight, omegas)  # rejects an unknown tag, and LOG below omega = 1
+    xi = _weights(weight, omegas)  # rejects an unknown tag, and LOG below omega = 1
     if not omegas or np.shape(total) != (grid.ny, grid.nx):
         raise ValueError(
             f"correlations summed to shape {np.shape(total)} do not match "
             f"{len(omegas)} frequencies on a {grid.ny}x{grid.nx} grid"
         )
-    values = np.abs(total)
-    if weight == "SF":
-        return ImageMap(grid, values, weight, (omegas[-1],))
-    if weight == "MF":
-        values = values / len(omegas)
-    return ImageMap(grid=grid, values=values, tag=weight, omegas=tuple(omegas))
+    band = tuple(w for w, xi_f in zip(omegas, xi) if xi_f != 0.0)
+    return ImageMap(grid=grid, values=np.abs(total), tag=weight, omegas=band)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,8 @@ def svd(matrix) -> SvdFactors:
     lowest index among those whose magnitude is at least (1 - 1e-12) times
     the vector's largest, so that entries tied up to rounding always give
     the same lead, before and after the rotation.  Singular values at or
-    below n * eps * sigma_1 are set to exactly 0.
+    below n * eps * sigma_1 are set to exactly 0.  A matrix whose largest
+    singular value overflows a float is rejected.
     """
     entries = getattr(matrix, "entries", matrix)
     a = np.array(entries, dtype=complex)
@@ -54,6 +55,9 @@ def svd(matrix) -> SvdFactors:
         raise ValueError("matrix entries must be finite")
     n = a.shape[1]
     u, s, vh = np.linalg.svd(a)
+    if not np.isfinite(s[0]):
+        # the cutoff below would be inf and zero every singular value
+        raise ValueError(f"largest singular value overflows a float (sigma_1 = {s[0]})")
     v = vh.conj().T
 
     cutoff = n * np.finfo(float).eps * (s[0] if s[0] > 0.0 else 1.0)

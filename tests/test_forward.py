@@ -345,3 +345,23 @@ class TestSerialization:
         path.write_text("nonsense\n")
         with pytest.raises(ValueError):
             fwd.load_msr(path)
+
+    def _saved_lines(self, tmp_path):
+        k = fwd.assemble_msr(fwd.make_directions(8), 2 * math.pi / 0.5, sigma1_inclusion())
+        path = tmp_path / "msr.txt"
+        fwd.save_msr(k, path)
+        return path, path.read_text().splitlines()
+
+    @pytest.mark.parametrize("key", ["n", "omega"])
+    def test_rejects_missing_header(self, tmp_path, key):
+        path, lines = self._saved_lines(tmp_path)
+        path.write_text("\n".join(ln for ln in lines if not ln.startswith(f"# {key} ")) + "\n")
+        with pytest.raises(ValueError, match=f"msr.txt: missing header line '# {key}'"):
+            fwd.load_msr(path)
+
+    def test_rejects_a_row_with_an_odd_token_count(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        lines[8] += " 1.0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="msr.txt: matrix row 2 has 17 values, expected 16"):
+            fwd.load_msr(path)

@@ -386,18 +386,24 @@ class TestRunExperiment:
         assert len(points) < 0.1 * cfg.grid.nx * cfg.grid.ny
 
     def test_sf_only_run_correlates_one_frequency(self, monkeypatch):
-        calls = 0
+        seen = []
         correlation = img._subspace_correlation
 
-        def count_correlation(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return correlation(*args, **kwargs)
+        def count_correlation(k, factors, *args, **kwargs):
+            seen.append((k, factors))
+            return correlation(k, factors, *args, **kwargs)
 
         monkeypatch.setattr(img, "_subspace_correlation", count_correlation)
-        report = harness.run_experiment(small_config(frequencies=10, functionals=("SF",)))
-        assert calls == 1
+        cfg = small_config(frequencies=10, functionals=("SF",))
+        report = harness.run_experiment(cfg)
+        assert len(seen) == 1
         assert set(report.maps) == {"SF"}
+        # the finest wavelength's matrix, imaged on its own: the same map, bit for bit
+        k, factors = seen[0]
+        assert k.omega == report.omegas[-1]
+        single = img.map_single(k, factors, cfg.grid, img.SteeringConfig(c=cfg.c), cfg.tau)
+        assert np.array_equal(report.maps["SF"].values, single.values)
+        assert report.maps["SF"].omegas == single.omegas == (k.omega,)
 
     def test_sf_functional_uses_finest_wavelength(self):
         cfg = small_config(functionals=("SF",))
@@ -1074,17 +1080,37 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
-    @pytest.mark.parametrize("h", ["1e-200", "6e150"])
-    def test_run_failure_is_one_line(self, h, capsys, tmp_path):
-        # the config is valid, but its matrices underflow or overflow in the run
+    @pytest.mark.parametrize(
+        "h, extra, cause",
+        [
+            ("1e-200", [], "below the smallest normal float"),
+            ("6e150", [], "signal power of the matrix overflows"),
+            ("3e305", ["--snr-db", "inf"], "largest singular value overflows"),
+        ],
+        ids=["1e-200", "6e150", "3e305"],
+    )
+    def test_run_failure_is_one_line(self, h, extra, cause, capsys, tmp_path):
+        # the config is valid, but its matrices underflow or overflow in the
+        # run; at 3e305 the noise-free matrix is finite but its norm is not
         out = tmp_path / "out"
         argv = ["--preset", "fig1", "--grid", "11", "--F", "2", "--h", h, "--out-dir", str(out)]
-        assert main(argv) == 1
+        assert main(argv + extra) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
         assert captured.err.startswith("submig: error: experiment failed [curves=sigma1 ")
+        assert cause in captured.err
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
         assert not out.exists()
+
+    def test_output_failure_is_one_line(self, capsys, tmp_path):
+        # --out-dir names a regular file, so the run cannot make its directory
+        out = tmp_path / "out"
+        out.write_text("")
+        assert main(["--preset", "fig1", "--grid", "11", "--F", "2", "--out-dir", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("submig: error: ") and captured.err.endswith(f"'{out}'\n")
+        assert captured.err.count("\n") == 1
 
     def test_other_failures_propagate(self, monkeypatch):
         def failing_run(cfg):

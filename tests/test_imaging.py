@@ -388,18 +388,21 @@ class TestMapMulti:
         tags = ("SF", "MF", "WMF(2)", "LOG")
         sums = img.subspace_correlations(ks, grid, tags=tags)
         for tag in tags:
-            xi = img._weights(tag, omegas)
-            if xi is None:
-                want = stored[-1]
-            else:
-                want = np.zeros((grid.ny, grid.nx), dtype=complex)
-                for c_f, xi_f in zip(stored, xi):
-                    want += xi_f * c_f
+            # the plain loop, zero weights included: skipping the frequencies
+            # no tag weighs changes no bit
+            want = np.zeros((grid.ny, grid.nx), dtype=complex)
+            for c_f, xi_f in zip(stored, img._weights(tag, omegas)):
+                want += xi_f * c_f
             assert np.array_equal(sums[tag], want), tag
             assert np.array_equal(
-                img.map_multi(sums[tag], omegas, grid, tag).values,
-                np.abs(want) / (len(ks) if tag == "MF" else 1),
+                img.map_multi(sums[tag], omegas, grid, tag).values, np.abs(want)
             ), tag
+        # MF is |sum_f (1/F) c_f|
+        mf = np.zeros((grid.ny, grid.nx), dtype=complex)
+        for c_f in stored:
+            mf += (1.0 / len(ks)) * c_f
+        assert np.array_equal(img.map_multi(sums["MF"], omegas, grid, "MF").values, np.abs(mf))
+        assert np.array_equal(sums["SF"], stored[-1])
 
     def test_sums_are_summed_on_the_core_and_expanded_once(self):
         # on a grid above K each tag's sum is the loop over separately computed
@@ -418,14 +421,26 @@ class TestMapMulti:
         tags = ("SF", "MF", "WMF(2)", "LOG")
         sums = img.subspace_correlations(ks, grid, tags=tags)
         for tag in tags:
-            xi = img._weights(tag, omegas)
-            if xi is None:
-                core = stored[-1]
-            else:
-                core = np.zeros((ys.size, xs.size), dtype=complex)
-                for c_f, xi_f in zip(stored, xi):
-                    core += xi_f * c_f
+            core = np.zeros((ys.size, xs.size), dtype=complex)
+            for c_f, xi_f in zip(stored, img._weights(tag, omegas)):
+                core += xi_f * c_f
             assert np.array_equal(sums[tag], y_expand @ core @ x_expand.T), tag
+        assert np.array_equal(sums["SF"], y_expand @ stored[-1] @ x_expand.T)
+
+    def test_every_tag_is_its_weights(self):
+        omegas = [OMEGA_05, 1.5 * OMEGA_05, 2.0 * OMEGA_05]
+        want = {
+            "SF": [0.0, 0.0, 1.0],
+            "MF": [1.0 / 3.0] * 3,
+            "WMF(2)": np.array(omegas) ** 2,
+            "LOG": np.log(omegas),
+        }
+        for tag, xi in want.items():
+            got = img._weights(tag, omegas)
+            assert isinstance(got, np.ndarray) and np.array_equal(got, xi), tag
+            # the config's check parses a tag without a band
+            empty = img._weights(tag, [])
+            assert isinstance(empty, np.ndarray) and empty.shape == (0,), tag
 
     def test_mismatched_correlations_rejected(self):
         inc = sigma1_inclusion()

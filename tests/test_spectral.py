@@ -97,6 +97,11 @@ class TestSvd:
         with pytest.raises(ValueError):
             spectral.svd(bad)
 
+    def test_rejects_an_overflowing_singular_value(self):
+        # finite entries whose largest singular value, 3e308, is not a float
+        with pytest.raises(ValueError, match="largest singular value overflows"):
+            spectral.svd(np.full((3, 3), 1e308, dtype=complex))
+
     @given(st.integers(0, 10_000), st.integers(2, 12))
     @settings(max_examples=20, deadline=None)
     def test_contract_property(self, seed, n):
