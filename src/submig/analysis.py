@@ -1,21 +1,20 @@
 """Closed-form Bessel-sum predictions of the imaging functionals.
 
-Each multi-frequency functional is a sum over the scatterer points of one
-band integral.  Its closed form is envelope (J0^2 + J1^2) boundary terms,
-one vectorised evaluation over the scatterer radii, plus a remainder
-integral with no elementary closed form, all scaled by F/width.  One core
-evaluates that shape for MF, WMF(n) and LOG, which differ only in the
-boundary factor and the remainder integrand.  The remainder's scatterer sum is
-integrated as one function on (abscissae x scatterers) arrays, one adaptive
-Gauss-Legendre quadrature per search point, so the 1e-10 tolerances apply to
-that sum.  On the default band near the inclusion (omega r up to ~32) the
-16-point rule on the band and on its two halves already agree, so each
-remainder costs 48 abscissae; the default grid's far corners (omega r
-~61-75) take 112-240.  On the fig1 scatterers and band, MF, WMF(1), LOG, E1
-and E2 agree with mpmath to within 1.5e-14 relative at nine points from on
-the curve to near the grid's corner.
-The two improvement diagnostics E1 and E2 quantify why the log-weighted
-functional suppresses artifacts near the scatterers.
+Each multi-frequency functional is (F/width) times the band integral of a
+weight g against sum_m J0(omega r_m)^2 over the scatterer radii r_m.  By
+parts, with (J0^2 + J1^2)'(x) = -2 J1(x)^2 / x and G an antiderivative of g,
+that is [G(omega) sum_m (J0^2 + J1^2)(omega r_m)] plus the integral of
+(2G/omega - g) sum_m J1(omega r_m)^2: one specfun core for every functional,
+each its pair (G, 2G/omega - g).  MF is (omega, 1), WMF(n) is
+(omega^(n+1)/(n+1), (1-n)/(1+n) omega^n), with no remainder at n = 1, and LOG
+is (omega ln omega - omega, ln omega - 2).  A remainder's scatterer sum is one
+adaptive quadrature per search point, so the 1e-10 tolerances apply to that
+sum.  On the fig1 scatterers and band it takes 48 abscissae while omega_f r
+stays below ~30, and 112 at the grid's corners (omega_f r up to ~45).  At nine
+points from on the curve to omega_f r = 61, MF, WMF(n) for n <= 4, LOG, E1 and
+E2 agree with mpmath (25 digits) to within 1.4e-14 relative.  The diagnostics
+E1 and E2, integrated as the paper defines them, show why the log weighting
+suppresses artifacts near the scatterers.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import bessel_envelope, bessel_j, quad_adaptive
+from .specfun import _j0sq_by_parts, bessel_j, quad_adaptive
 
 __all__ = [
     "ScattererSet",
@@ -61,10 +60,14 @@ class BandLimits:
     count: int
 
     def __post_init__(self):
+        for name in ("omega1", "omega_f"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (0.0 < self.omega1 < self.omega_f):
             raise ValueError("requires 0 < omega1 < omega_f")
-        if self.count < 2:
-            raise ValueError("requires at least two frequencies")
+        count = self.count
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 2:
+            raise ValueError(f"count must be an integer >= 2, got {count!r}")
 
     @classmethod
     def from_wavelengths(cls, lambda_max: float, lambda_min: float, count: int) -> "BandLimits":
@@ -94,71 +97,49 @@ def analytic_sf(z, scat: ScattererSet, omega: float):
 
 
 def _structure(z, scat: ScattererSet, band: BandLimits, anti, rest):
-    # (F/width) * (boundary terms + remainder) of one band integral, per point:
-    # anti(w) * (J0^2 + J1^2)(w r) summed over the radii r from omega1 to
-    # omega_f, plus one quadrature of rest(w, x = w r), the remainder integrand
-    # already summed over the scatterers; either part may be None
+    # (F/width) * the band integral of a weight g against sum_m J0(omega r_m)^2,
+    # per point, by specfun's by-parts core: anti is g's antiderivative G and
+    # rest is 2G/omega - g, or None where that vanishes
     z = np.asarray(z, dtype=float)
     if z.ndim > 1:
         values = [_structure(p, scat, band, anti, rest) for p in z.reshape(-1, 2)]
         return np.array(values).reshape(z.shape[:-1])
-    r = _radii(z, scat)
-    total = 0.0
-    if anti is not None:
-        env = bessel_envelope(np.outer([band.omega1, band.omega_f], r))
-        total = math.fsum(
-            np.concatenate([anti(band.omega_f) * env[1], -anti(band.omega1) * env[0]])
-        )
-    if rest is not None:
-        total += quad_adaptive(lambda w: rest(w, w[:, None] * r), band.omega1, band.omega_f)
-    return band.count / band.width * total
+    integral = _j0sq_by_parts(anti, rest, band.omega1, band.omega_f, _radii(z, scat))
+    return band.count / band.width * integral
 
 
 def analytic_mf(z, scat: ScattererSet, band: BandLimits) -> float:
-    """Multi-frequency structure: band-averaged integral of J0(omega r)^2.
+    """Multi-frequency structure: (F/width) * integral of J0(omega r)^2.
 
-    Envelope boundary terms plus the quadrature remainder of J1^2, scaled by
-    count/band-width; equals (F/width) * integral of J0(omega r)^2 d omega.
-    A trailing-(2) batch of search points gives one value per point.
+    By parts with G = omega: envelope boundary terms plus the quadrature of
+    J1^2.  A trailing-(2) batch of search points gives one value per point.
     """
-    return _structure(
-        z, scat, band, lambda w: w, lambda w, x: (bessel_j(1, x) ** 2).sum(axis=1)
-    )
+    return _structure(z, scat, band, lambda w: w, lambda w: 1.0)
 
 
 def analytic_wmf(z, scat: ScattererSet, band: BandLimits, n: int = 1) -> float:
     """Power-weighted structure: (F/width) * integral of omega^n J0(omega r)^2.
 
-    The n = 1 remainder vanishes identically (the x^2/2 envelope
-    antiderivative), so that case is fully closed-form; n = 0 is MF.  A
+    By parts with G = omega^(n+1)/(n+1): envelope boundary terms plus the
+    quadrature of (1-n)/(1+n) omega^n J1^2, none for n = 1; n = 0 is MF.  A
     trailing-(2) batch of search points gives one value per point.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError(f"weight power must be a nonnegative integer, got {n!r}")
-    if n == 0:
-        return analytic_mf(z, scat, band)
-    if n == 1:
-        return _structure(z, scat, band, lambda w: 0.5 * w**2, None)
-    return _structure(
-        z, scat, band, None, lambda w, x: w**n * (bessel_j(0, x) ** 2).sum(axis=1)
-    )
+    rest = None if n == 1 else lambda w: (1 - n) / (1 + n) * w**n
+    return _structure(z, scat, band, lambda w: w ** (n + 1) / (n + 1), rest)
 
 
 def analytic_log(z, scat: ScattererSet, band: BandLimits) -> float:
     """Log-weighted structure: (F/width) * integral of ln(omega) J0(omega r)^2.
 
-    Boundary terms omega ln(omega) * envelope minus the quadrature remainder
-    of J0^2 - (ln omega - 1) J1^2; requires omega1 > 1 for positive weights.
-    A trailing-(2) batch of search points gives one value per point.
+    By parts with G = omega ln(omega) - omega: envelope boundary terms plus
+    the quadrature of (ln omega - 2) J1^2; requires omega1 > 1 for positive
+    weights.  A trailing-(2) batch of search points gives one value per point.
     """
     if band.omega1 <= 1.0:
         raise ValueError(f"log weighting needs omega1 > 1, got {band.omega1}")
-
-    def rest(w, x):  # the remainder negated, as the core adds it
-        ln1 = np.log(w)[:, None] - 1.0
-        return (ln1 * bessel_j(1, x) ** 2 - bessel_j(0, x) ** 2).sum(axis=1)
-
-    return _structure(z, scat, band, lambda w: w * math.log(w), rest)
+    return _structure(z, scat, band, lambda w: w * math.log(w) - w, lambda w: np.log(w) - 2.0)
 
 
 def e1_e2(r: float, band: BandLimits) -> tuple[float, float]:

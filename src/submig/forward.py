@@ -73,8 +73,8 @@ class FrequencySet:
 
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.wavelengths, dtype=float))
-        if w.size < 1 or np.any(w <= 0.0):
-            raise ValueError("need at least one positive wavelength")
+        if w.size < 1 or not np.all(np.isfinite(w) & (w > 0.0)):
+            raise ValueError(f"need at least one wavelength, all positive and finite, got {w}")
         if w.size > 1 and np.any(np.diff(w) >= 0.0):
             raise ValueError("wavelengths must be strictly descending")
         object.__setattr__(self, "wavelengths", w)
@@ -270,21 +270,27 @@ def load_msr(path) -> MsrMatrix:
     if not lines or lines[0] != "# submig msr v1":
         raise ValueError(f"{path}: not a submig msr v1 file")
     header = {}
-    body_start = 0
-    for i, line in enumerate(lines):
-        if line.startswith("# ") and i > 0:
-            key, _, value = line[2:].partition(" ")
-            header[key] = value
-        elif i > 0:
-            body_start = i
+    body: list[str] = []
+    for i, line in enumerate(lines[1:], 1):
+        if not line.startswith("# "):
+            body = lines[i:]
             break
+        key, _, value = line[2:].partition(" ")
+        header[key] = value
     missing = [key for key in ("n", "omega") if key not in header]
     if missing:
         raise ValueError(f"{path}: missing header line '# {missing[0]}'")
+    if not header["n"].isdigit() or int(header["n"]) < 2:
+        raise ValueError(f"{path}: header line '# n {header['n']}' is not a count >= 2")
     n = int(header["n"])
+    if len(body) != n:
+        raise ValueError(f"{path}: {len(body)} matrix rows, expected {n}")
     rows = []
-    for row, line in enumerate(lines[body_start : body_start + n]):
-        vals = [float(tok) for tok in line.split()]
+    for row, line in enumerate(body):
+        try:
+            vals = [float(tok) for tok in line.split()]
+        except ValueError:
+            raise ValueError(f"{path}: matrix row {row} is not all numbers") from None
         if len(vals) != 2 * n:
             raise ValueError(f"{path}: matrix row {row} has {len(vals)} values, expected {2 * n}")
         rows.append([complex(re, im) for re, im in zip(vals[0::2], vals[1::2])])

@@ -10,6 +10,7 @@ import pytest
 
 from submig import analysis as ana
 from submig import geometry as geo
+from submig import specfun as sf
 from submig.specfun import bessel_j, quad_adaptive
 from conftest import composite_simpson
 
@@ -78,9 +79,8 @@ class TestAnalyticMf:
 class TestAnalyticWmf:
     def test_n0_equals_mf(self):
         z = (0.07, -0.02)
-        assert ana.analytic_wmf(z, single_scatterer(), BAND, n=0) == pytest.approx(
-            ana.analytic_mf(z, single_scatterer(), BAND), rel=1e-12
-        )
+        got = ana.analytic_wmf(z, single_scatterer(), BAND, n=0)
+        assert got == ana.analytic_mf(z, single_scatterer(), BAND)
 
     def test_n1_at_scatterer(self):
         got = ana.analytic_wmf((0.0, 0.0), single_scatterer(), BAND, n=1)
@@ -212,7 +212,7 @@ class TestFusedScattererSum:
             seen.append((a, b))
             return quad_adaptive(f, a, b)
 
-        monkeypatch.setattr(ana, "quad_adaptive", counting)
+        monkeypatch.setattr(sf, "quad_adaptive", counting)  # the by-parts core's quadrature
         func(self.Z, self.SCAT, BAND)
         assert len(seen) == calls
 
@@ -254,6 +254,20 @@ class TestQuadratureAccuracy:
         }
         for name, value in got.items():
             assert abs(value / float(want[name]) - 1) <= 1e-13, name
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("z", [(0.0, 0.0), (1.5, -1.6)])
+    def test_wmf_matches_mpmath(self, z, n):
+        r = np.hypot(*(np.asarray(z) - self.SCAT.points).T)
+        with mp.workdps(20):
+            a, b = mp.mpf(BAND.omega1), mp.mpf(BAND.omega_f)
+            radii = [mp.mpf(float(v)) for v in r]
+            integral = mp.quad(
+                lambda w: w**n * sum(mp.besselj(0, w * v) ** 2 for v in radii),
+                mp.linspace(a, b, 9),
+            )
+            want = float(BAND.count / (b - a) * integral)
+        assert abs(ana.analytic_wmf(z, self.SCAT, BAND, n=n) / want - 1) <= 1e-13
 
 
 class TestE1E2:
@@ -302,6 +316,21 @@ class TestValidation:
             ana.BandLimits(2.0, 1.0, 5)
         with pytest.raises(ValueError):
             ana.BandLimits(1.0, 2.0, 1)
+
+    @pytest.mark.parametrize("count", [2.5, True, "3"])
+    def test_band_count_must_be_an_integer(self, count):
+        with pytest.raises(ValueError, match="count must be an integer >= 2"):
+            ana.BandLimits(1.0, 2.0, count)
+        assert ana.BandLimits(1.0, 2.0, np.int64(3)).count == 3
+
+    @pytest.mark.parametrize(
+        "field, omega1, omega_f",
+        [("omega1", math.nan, 2.0), ("omega_f", 1.0, math.inf)],
+        ids=["omega1", "omega_f"],
+    )
+    def test_band_omegas_must_be_finite(self, field, omega1, omega_f):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ana.BandLimits(omega1, omega_f, 5)
 
     def test_scatterer_set(self):
         with pytest.raises(ValueError):

@@ -72,6 +72,13 @@ class TestFrequencySet:
         with pytest.raises(ValueError):
             fwd.FrequencySet(wavelengths=np.array([0.3, 0.5]))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            fwd.FrequencySet(wavelengths=np.array([bad]))
+        with pytest.raises(ValueError, match="positive and finite"):
+            fwd.FrequencySet(wavelengths=np.array([bad, 0.5, 0.3]))
+
 
 class TestFarFieldEntry:
     def test_zero_contrast(self):
@@ -364,4 +371,37 @@ class TestSerialization:
         lines[8] += " 1.0"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="msr.txt: matrix row 2 has 17 values, expected 16"):
+            fwd.load_msr(path)
+
+    def test_rejects_a_header_without_rows(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        path.write_text("\n".join(lines[:6]) + "\n")
+        with pytest.raises(ValueError, match="msr.txt: 0 matrix rows, expected 8"):
+            fwd.load_msr(path)
+
+    @pytest.mark.parametrize("value", ["abc", "1", "-8", ""])
+    def test_rejects_a_bad_direction_count(self, tmp_path, value):
+        path, lines = self._saved_lines(tmp_path)
+        lines[1] = f"# n {value}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"msr.txt: header line '# n {value}' is not a count"):
+            fwd.load_msr(path)
+
+    def test_rejects_missing_rows(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        path.write_text("\n".join(lines[:9]) + "\n")
+        with pytest.raises(ValueError, match="msr.txt: 3 matrix rows, expected 8"):
+            fwd.load_msr(path)
+
+    def test_rejects_extra_rows(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        path.write_text("\n".join(lines + lines[6:7]) + "\n")
+        with pytest.raises(ValueError, match="msr.txt: 9 matrix rows, expected 8"):
+            fwd.load_msr(path)
+
+    def test_rejects_a_token_that_is_not_a_number(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        lines[7] = lines[7].replace(" ", " x", 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="msr.txt: matrix row 1 is not all numbers"):
             fwd.load_msr(path)
